@@ -17,8 +17,11 @@
 #ifndef MONDRIAN_BENCH_BENCH_COMMON_HH
 #define MONDRIAN_BENCH_BENCH_COMMON_HH
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,6 +32,25 @@
 
 namespace mondrian::bench {
 
+/**
+ * Parse @p text as a decimal integer in [0, @p max]. Anything else —
+ * empty, signed, trailing junk, out of range — prints a named error and
+ * exits 2 before the bench does any work.
+ */
+inline std::uint64_t
+parseUnsignedArg(const char *text, const char *what, std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || ptr == text || v > max) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in [0, %llu]\n",
+                     what, text, static_cast<unsigned long long>(max));
+        std::exit(2);
+    }
+    return v;
+}
+
 /** Parse the standard bench command line. */
 inline WorkloadConfig
 parseArgs(int argc, char **argv, unsigned default_log2 = 16)
@@ -37,9 +59,10 @@ parseArgs(int argc, char **argv, unsigned default_log2 = 16)
     WorkloadConfig wl;
     unsigned log2_tuples = default_log2;
     if (argc > 1)
-        log2_tuples = static_cast<unsigned>(std::atoi(argv[1]));
+        log2_tuples = static_cast<unsigned>(
+            parseUnsignedArg(argv[1], "log2_tuples", 32));
     if (argc > 2)
-        wl.seed = static_cast<std::uint64_t>(std::atoll(argv[2]));
+        wl.seed = parseUnsignedArg(argv[2], "seed", UINT64_MAX);
     wl.tuples = 1ull << log2_tuples;
     return wl;
 }

@@ -40,7 +40,8 @@ main(int argc, char **argv)
         double mon_bw = 0.0;
         for (SystemKind k : systems) {
             if (op == OpKind::kScan && k == SystemKind::kNmpSeq) {
-                // Scan has no sort/hash choice: NMP-seq == NMP-rand (§7.1).
+                // Scan has no sort/hash choice, so NMP-seq == NMP-rand;
+                // see §7.1.
                 row.push_back(row.back());
                 continue;
             }

@@ -8,6 +8,8 @@
  * Usage: bench_sim_hotpath [log2_tuples] [seed] [out.json]
  *                          [--label NAME] [--append]
  *   defaults: 20 42 BENCH_sim_hotpath.json --label dev
+ *   --help, an unknown flag or a malformed number prints the usage and
+ *   exits 2 before anything runs or is written.
  *
  * The event kernel sweeps 64 / 256 / 1024 concurrent self-rescheduling
  * chains: 64 matches a lightly loaded machine, 256 and 1024 match the
@@ -30,12 +32,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "core/core_model.hh"
@@ -253,6 +255,21 @@ writeHistoryEntry(JsonWriter &w, const std::string &pr, double events_per_sec,
     w.endObject();
 }
 
+constexpr const char *kUsage =
+    "usage: bench_sim_hotpath [log2_tuples] [seed] [out.json]\n"
+    "                         [--label NAME] [--append]\n"
+    "  defaults: 20 42 BENCH_sim_hotpath.json --label dev\n";
+
+/** Print @p why (if any) and the usage, then exit 2 — before any work. */
+[[noreturn]] void
+usage(const std::string &why)
+{
+    if (!why.empty())
+        std::fprintf(stderr, "bench_sim_hotpath: %s\n", why.c_str());
+    std::fputs(kUsage, stderr);
+    std::exit(2);
+}
+
 } // namespace
 
 int
@@ -267,19 +284,29 @@ main(int argc, char **argv)
 
     int positional = 0;
     for (int a = 1; a < argc; ++a) {
-        if (!std::strcmp(argv[a], "--append")) {
+        const std::string arg = argv[a];
+        if (arg == "--append") {
             append = true;
-        } else if (!std::strcmp(argv[a], "--label") && a + 1 < argc) {
+        } else if (arg == "--label") {
+            if (a + 1 >= argc)
+                usage("--label requires a value");
             label = argv[++a];
+        } else if (arg == "--help" || arg == "-h") {
+            usage("");
+        } else if (arg.size() > 1 && arg[0] == '-') {
+            usage("unknown flag '" + arg + "'");
         } else if (positional == 0) {
-            log2_tuples = static_cast<unsigned>(std::atoi(argv[a]));
+            log2_tuples = static_cast<unsigned>(
+                bench::parseUnsignedArg(argv[a], "log2_tuples", 32));
             ++positional;
         } else if (positional == 1) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[a]));
+            seed = bench::parseUnsignedArg(argv[a], "seed", UINT64_MAX);
+            ++positional;
+        } else if (positional == 2) {
+            out_path = arg;
             ++positional;
         } else {
-            out_path = argv[a];
-            ++positional;
+            usage("unexpected argument '" + arg + "'");
         }
     }
 

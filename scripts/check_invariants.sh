@@ -13,10 +13,12 @@
 #       resume journal, which must round-trip doubles exactly) or the
 #       "report-precision: canonical" marker (the committed 12-digit
 #       report format) within the preceding window.
-#   R3  No rand()/srand()/atoi()/atof() in src/ tools/ — unseeded RNG
-#       and unchecked numeric parsing both break the determinism
-#       contract. examples/example_args.hh is the one sanctioned home
-#       for quick-and-dirty demo parsing.
+#   R3  No rand()/srand()/atoi()/atof() in src/ tools/ bench/ —
+#       unseeded RNG and unchecked numeric parsing both break the
+#       determinism contract (and a bench that reads "--help" as a scale
+#       silently overwrites its trajectory file).
+#       examples/example_args.hh is the one sanctioned home for
+#       quick-and-dirty demo parsing.
 #   R4  The calendar queue's bucket-count/width power-of-two
 #       static_asserts stay in place (index math masks, never divides).
 #   R5  Compile probe: the hot-path TUs are re-checked with
@@ -94,9 +96,9 @@ done
 
 # --------------------------------------------------------------------- R3
 r3_hits=$(grep -rnE '(^|[^_[:alnum:]])(rand|srand|atoi|atof)[[:space:]]*\(' \
-              src/ tools/ --include='*.cc' --include='*.hh' || true)
+              src/ tools/ bench/ --include='*.cc' --include='*.hh' || true)
 if [[ -n "$r3_hits" ]]; then
-    note "R3 rand()/srand()/atoi()/atof() in src/ or tools/:"$'\n'"$r3_hits"
+    note "R3 rand()/srand()/atoi()/atof() in src/, tools/ or bench/:"$'\n'"$r3_hits"
 fi
 
 # --------------------------------------------------------------------- R4
@@ -133,7 +135,7 @@ if [[ "$SELF_TEST" -eq 1 ]]; then
     make_sandbox() {
         cleanup
         sandbox="$(mktemp -d)"
-        cp -r src tools scripts "$sandbox/"
+        cp -r src tools bench scripts "$sandbox/"
     }
 
     expect_fail() {
@@ -176,6 +178,12 @@ EOF
         >> "$sandbox/src/system/campaign.cc"
     expect_fail "atoi() in src/ (R3)"
 
+    # R3 covers the bench harnesses too.
+    make_sandbox
+    printf '\n// probe\nstatic int selfTestR3b(const char *s) { return atoi(s); }\n' \
+        >> "$sandbox/bench/bench_common.hh"
+    expect_fail "atoi() in bench/ (R3)"
+
     # R4: power-of-two static_asserts removed.
     make_sandbox
     sed -i '/kNumBuckets & (kNumBuckets - 1)/d;/kWidth & (kWidth - 1)/d' \
@@ -199,7 +207,7 @@ namespace mondrian { namespace {
 EOF
     expect_fail "oversized hot-path closure (R5 compile probe)"
 
-    echo "OK: self-test caught all 5 seeded violations"
+    echo "OK: self-test caught all 6 seeded violations"
     exit 0
 fi
 

@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "sim/thread_pool.hh"
 #include "system/report.hh"
+#include "system/report_model.hh"
 
 namespace mondrian {
 
@@ -452,205 +453,99 @@ ResumeCache::load(const std::string &json_text, std::string &error)
 {
     entries_.clear();
     JsonValue doc;
-    if (!parseJson(json_text, doc, error))
+    ReportHeader header;
+    if (!parseJson(json_text, doc, error) ||
+        !readReportHeader(doc, header, error))
         return false;
-    const JsonValue *schema = doc.find("schema");
-    const std::string schema_name = schema ? schema->asString() : "";
-    const bool v4 = schema_name == "mondrian-campaign-v4";
-    const bool v3 = v4 || schema_name == "mondrian-campaign-v3";
-    const bool v2 = v3 || schema_name == "mondrian-campaign-v2";
-    if (!v2 && schema_name != "mondrian-campaign-v1") {
-        error = "not a mondrian-campaign-v1/v2/v3/v4 report";
+    if (header.schemaVersion >= 2 && !doc.find("grid")) {
+        error = "v2+ report has no grid block";
         return false;
     }
 
-    // Axis tables. v1 reports have none: every run is at the default
-    // geometry and the "base" exec point, with the campaign-wide theta.
-    std::map<std::string, MemGeometry> geometries;
-    std::map<std::string, ExecOverride> overrides;
-    // v3: scenario label -> full cache identity (name + stage
-    // structure), resolved from the grid's scenarios table so a renamed
-    // or restructured pipeline can never satisfy a stale cache entry.
-    std::map<std::string, std::string> scenario_identities;
-    double v1_zipf = 0.0;
-    const JsonValue *grid = doc.find("grid");
-    if (v2) {
-        if (!grid) {
-            error = "v2/v3 report has no grid block";
-            return false;
-        }
-        if (const JsonValue *scs = grid->find("scenarios")) {
-            for (const JsonValue &sv : scs->items) {
-                const JsonValue *name = sv.find("name");
-                const JsonValue *stages = sv.find("stages");
-                if (!name || !stages || !stages->isArray())
-                    continue;
-                Scenario sc;
-                sc.name = name->asString();
-                bool ok = true;
-                for (const JsonValue &st : stages->items) {
-                    const JsonValue *spark = st.find("stage");
-                    const JsonValue *op = st.find("op");
-                    const JsonValue *input = st.find("input");
-                    ScenarioStage stage;
-                    if (!spark || !op || !input ||
-                        !opKindFromName(op->asString(), stage.op)) {
-                        ok = false;
-                        break;
-                    }
-                    stage.spark = spark->asString();
-                    stage.input = input->asString() == "generated"
-                                      ? StageInput::kGenerated
-                                      : StageInput::kPrevOutput;
-                    sc.stages.push_back(std::move(stage));
-                }
-                if (ok && !sc.stages.empty())
-                    scenario_identities[sc.name] = scenarioIdentity(sc);
-            }
-        }
-        if (const JsonValue *gs = grid->find("geometries")) {
-            for (const JsonValue &g : gs->items) {
-                const JsonValue *name = g.find("name");
-                const JsonValue *stacks = g.find("stacks");
-                const JsonValue *vaults = g.find("vaults_per_stack");
-                const JsonValue *banks = g.find("banks_per_vault");
-                const JsonValue *row = g.find("row_bytes");
-                const JsonValue *cap = g.find("vault_bytes");
-                if (!name || !stacks || !vaults || !banks || !row || !cap)
-                    continue;
-                MemGeometry geo;
-                geo.numStacks = static_cast<unsigned>(stacks->asU64());
-                geo.vaultsPerStack = static_cast<unsigned>(vaults->asU64());
-                geo.banksPerVault = static_cast<unsigned>(banks->asU64());
-                geo.rowBytes = row->asU64();
-                geo.vaultBytes = cap->asU64();
-                geometries[name->asString()] = geo;
-            }
-        }
-        if (const JsonValue *os = grid->find("exec_overrides")) {
-            for (const JsonValue &o : os->items) {
-                const JsonValue *name = o.find("name");
-                if (!name)
-                    continue;
-                ExecOverride ov;
-                if (const JsonValue *r = o.find("radix_bits"))
-                    ov.radixBits = static_cast<int>(r->asDouble());
-                if (const JsonValue *c = o.find("read_chunk_bytes"))
-                    ov.readChunkBytes = static_cast<int>(c->asDouble());
-                if (const JsonValue *t = o.find("tlb_entries"))
-                    ov.tlbEntries = static_cast<int>(t->asDouble());
-                overrides[name->asString()] = ov;
-            }
-        }
-    } else if (grid) {
-        if (const JsonValue *z = grid->find("zipf_theta"))
-            v1_zipf = z->asDouble();
-    }
-
-    const JsonValue *runs = doc.find("runs");
-    if (!runs || !runs->isArray()) {
-        error = "report has no runs array";
-        return false;
-    }
-    std::size_t run_no = 0;
-    for (const JsonValue &r : runs->items) {
-        // Label for skip warnings: as much of the grid point as the
-        // entry actually carries, falling back to its array position —
-        // a corrupt entry must be named, never silently dropped or
-        // spliced as garbage.
-        const std::size_t this_run = run_no++;
-        auto run_label = [&r, v3, this_run]() {
-            std::string l = "run #" + std::to_string(this_run);
-            const JsonValue *sys = r.find("system");
-            const JsonValue *op = v3 ? r.find("scenario") : r.find("op");
-            const JsonValue *log2 = r.find("log2_tuples");
-            const JsonValue *seed = r.find("seed");
-            if (sys && sys->isString())
-                l += " (" + sys->asString() +
-                     (op && op->isString() ? "|" + op->asString() : "") +
-                     (log2 ? "|2^" + std::to_string(log2->asU64()) : "") +
-                     (seed ? "|seed " + std::to_string(seed->asU64()) : "") +
-                     ")";
-            return l;
-        };
-        const JsonValue *sys = r.find("system");
-        // v3 runs are labeled by scenario; v1/v2 "op" labels ARE the
-        // degenerate scenario names, so both key identically.
-        const JsonValue *op = v3 ? r.find("scenario") : r.find("op");
-        const JsonValue *log2 = r.find("log2_tuples");
-        const JsonValue *seed = r.find("seed");
-        const JsonValue *result = r.find("result");
-        if (!sys || !op || !log2 || !seed || !result) {
-            warn("resume: skipping malformed %s: missing run members",
-                 run_label().c_str());
-            continue; // malformed entry: simply not cached
-        }
-        MemGeometry geo = defaultGeometry();
-        ExecOverride exec;
-        double zipf = v1_zipf;
-        // v1/v2 "op" labels are degenerate scenario names, which ARE
-        // their own identity; v3 labels resolve through the scenarios
-        // table to the full stage-structure identity.
-        std::string scenario_id = op->asString();
-        // Pre-v4 reports are all single-query runs: the degenerate
-        // "none" traffic point. TrafficSpec::name() is the full spec
-        // identity, so v4 runs key by their label verbatim.
-        std::string traffic_id = "none";
-        if (v2) {
-            const JsonValue *gname = r.find("geometry");
-            const JsonValue *ename = r.find("exec");
-            const JsonValue *z = r.find("zipf_theta");
-            if (!gname || !ename || !z) {
-                warn("resume: skipping %s: missing geometry/exec/"
-                     "zipf_theta labels", run_label().c_str());
-                continue;
-            }
-            auto git = geometries.find(gname->asString());
-            auto eit = overrides.find(ename->asString());
-            if (git == geometries.end() || eit == overrides.end()) {
-                // label without an axis-table entry: not cached
-                warn("resume: skipping %s: axis label '%s' has no grid "
-                     "table entry", run_label().c_str(),
-                     (git == geometries.end() ? gname : ename)
-                         ->asString().c_str());
-                continue;
-            }
-            geo = git->second;
-            exec = eit->second;
-            zipf = z->asDouble();
-            if (v3) {
-                auto sit = scenario_identities.find(op->asString());
-                if (sit == scenario_identities.end()) {
-                    warn("resume: skipping %s: scenario '%s' has no grid "
-                         "table entry", run_label().c_str(),
-                         op->asString().c_str());
-                    continue;
-                }
-                scenario_id = sit->second;
-            }
-            if (v4) {
-                const JsonValue *t = r.find("traffic");
-                if (!t) {
-                    warn("resume: skipping %s: v4 run has no traffic "
-                         "label", run_label().c_str());
-                    continue;
-                }
-                traffic_id = t->asString();
-            }
-        }
-        Entry e;
-        if (!readRunResult(*result, e.result)) {
-            warn("resume: skipping %s: unreadable result subtree",
-                 run_label().c_str());
+    // A grid point with two runs is ambiguous: neither is spliced.
+    std::set<std::string> ambiguous;
+    const std::vector<JsonValue> &runs = header.runs->items;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        // Best-effort: a corrupt entry is skipped with a warning naming
+        // it — never cached as garbage.
+        ReportRun run;
+        std::string why;
+        if (!readReportRun(runs[i], header, i, run, why)) {
+            warn("resume: skipping unusable report entry: %s", why.c_str());
             continue;
         }
-        e.rawResultJson =
-            json_text.substr(result->begin, result->end - result->begin);
-        entries_[gridPointHash(sys->asString(), scenario_id,
-                               static_cast<unsigned>(log2->asU64()),
-                               seed->asU64(), zipf, geo, exec,
-                               traffic_id)] = std::move(e);
+        const std::string label =
+            "run " + std::to_string(i) + " (" + run.pointKey() + ")";
+        auto geo = header.geometries.find(run.geometry);
+        auto exec = header.execOverrides.find(run.exec);
+        if (geo == header.geometries.end() ||
+            exec == header.execOverrides.end()) {
+            warn("resume: skipping %s: axis label '%s' has no grid table "
+                 "entry", label.c_str(),
+                 (geo == header.geometries.end() ? run.geometry : run.exec)
+                     .c_str());
+            continue;
+        }
+        // v1/v2 "op" labels are degenerate scenario names, which ARE
+        // their own identity; v3 labels resolve through the scenarios
+        // table to the full stage-structure identity, so a renamed or
+        // restructured pipeline never satisfies a stale entry.
+        std::string scenario_id = run.scenario;
+        if (header.schemaVersion >= 3) {
+            auto sc = header.scenarios.find(run.scenario);
+            if (sc == header.scenarios.end()) {
+                warn("resume: skipping %s: scenario '%s' has no grid table "
+                     "entry", label.c_str(), run.scenario.c_str());
+                continue;
+            }
+            scenario_id = scenarioIdentity(sc->second);
+        }
+        const std::string key = gridPointHash(
+            run.system, scenario_id, run.log2Tuples, run.seed,
+            run.zipfTheta, geo->second, exec->second, run.traffic);
+        if (ambiguous.count(key) || entries_.erase(key)) {
+            ambiguous.insert(key);
+            warn("resume: skipping %s: another run shares its grid point, "
+                 "so neither is reused", label.c_str());
+            continue;
+        }
+        Entry e;
+        e.result = std::move(run.result);
+        e.rawResultJson = json_text.substr(
+            run.resultBegin, run.resultEnd - run.resultBegin);
+        entries_.emplace(key, std::move(e));
     }
+    return true;
+}
+
+bool
+decodeJournalLine(const std::string &line, JournalEntry &out,
+                  std::string &error)
+{
+    JsonValue doc;
+    if (!parseJson(line, doc, error)) {
+        // The key member leads every line, so even a torn tail usually
+        // names its grid point.
+        const std::string prefix = "{\"key\": \"";
+        const std::size_t end = line.find('"', prefix.size());
+        if (line.rfind(prefix, 0) == 0 && end != std::string::npos)
+            error += " (grid key " +
+                     line.substr(prefix.size(), end - prefix.size()) + ")";
+        return false;
+    }
+    const JsonValue *key = doc.find("key");
+    const JsonValue *result = doc.find("result");
+    if (!key || !key->isString() || key->asString().empty() || !result) {
+        error = "missing key or result";
+        return false;
+    }
+    out.key = key->asString();
+    if (!readRunResult(*result, out.result)) {
+        error = "unreadable result (grid key " + out.key + ")";
+        return false;
+    }
+    out.rawResultJson =
+        line.substr(result->begin, result->end - result->begin);
     return true;
 }
 
@@ -669,48 +564,22 @@ ResumeCache::loadJournal(const std::string &text)
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
 
-        // Best-effort grid key for warnings: the key member leads every
-        // line, so even a torn tail usually names its grid point.
-        auto key_hint = [&line]() {
-            const std::string prefix = "{\"key\": \"";
-            if (line.rfind(prefix, 0) != 0)
-                return std::string();
-            const std::size_t end = line.find('"', prefix.size());
-            if (end == std::string::npos)
-                return std::string();
-            return " (grid key " +
-                   line.substr(prefix.size(), end - prefix.size()) + ")";
-        };
-
-        JsonValue doc;
-        std::string parse_error;
-        if (!parseJson(line, doc, parse_error)) {
+        JournalEntry entry;
+        std::string error;
+        if (!decodeJournalLine(line, entry, error)) {
             // A torn final line is the expected artifact of a killed
             // writer; anything else is corruption. Either way: skip
             // loudly, never splice.
-            warn("journal: skipping %s line %zu%s: %s",
-                 torn ? "torn" : "corrupt", lineno, key_hint().c_str(),
-                 parse_error.c_str());
-            continue;
-        }
-        const JsonValue *key = doc.find("key");
-        const JsonValue *result = doc.find("result");
-        if (!key || !key->isString() || key->asString().empty() ||
-            !result) {
-            warn("journal: skipping line %zu%s: missing key or result",
-                 lineno, key_hint().c_str());
-            continue;
-        }
-        Entry e;
-        if (!readRunResult(*result, e.result)) {
-            warn("journal: skipping line %zu (grid key %s): unreadable "
-                 "result", lineno, key->asString().c_str());
+            warn("journal: skipping %s line %zu: %s",
+                 torn ? "torn" : "corrupt", lineno, error.c_str());
             continue;
         }
         // No rawResultJson: journal doubles are exact (shortest round
         // trip), so re-serializing through the canonical report writer
         // reproduces a fresh run's bytes — no splicing needed.
-        entries_[key->asString()] = std::move(e);
+        Entry e;
+        e.result = std::move(entry.result);
+        entries_[entry.key] = std::move(e);
         ++added;
     }
     return added;
@@ -739,6 +608,81 @@ campaignJournalLine(const CampaignJob &job, const RunResult &result)
     return JsonWriter::compact(w.str()) + "\n";
 }
 
+std::vector<std::size_t>
+startCampaignReport(const CampaignGrid &grid, const ResumeCache *resume,
+                    CampaignReport &report)
+{
+    report = CampaignReport{};
+    report.grid = grid;
+    const std::vector<CampaignJob> jobs = expandGrid(grid);
+    report.runs.resize(jobs.size());
+    std::vector<std::size_t> todo;
+    for (const CampaignJob &job : jobs) {
+        CampaignRun &slot = report.runs[job.index];
+        slot.job = job;
+        const ResumeCache::Entry *hit =
+            resume ? resume->find(campaignJobKey(job)) : nullptr;
+        if (!hit) {
+            todo.push_back(job.index);
+            continue;
+        }
+        slot.result = hit->result;
+        slot.rawResultJson = hit->rawResultJson;
+        slot.cached = true;
+        report.cachedRuns++;
+    }
+    return todo;
+}
+
+void
+executeCampaignSlots(CampaignReport &report,
+                     const std::vector<std::size_t> &todo, unsigned jobs,
+                     const std::atomic<bool> *abort,
+                     const std::function<void(const CampaignRun &)> &progress)
+{
+    auto aborted = [abort] { return abort && abort->load(); };
+    // Each task writes only its own slot; the mutex guards the progress
+    // callback, not the results.
+    std::mutex progress_mutex;
+    {
+        // jobs == 1 -> inline execution on this thread (no workers).
+        ThreadPool pool(jobs == 1 ? 0 : ThreadPool::resolveThreads(jobs));
+        for (std::size_t index : todo) {
+            CampaignRun &slot = report.runs[index];
+            if (aborted()) {
+                // Interrupted: don't start new work; mark the slot so
+                // the partial report never misreads it as a result.
+                slot.failed = true;
+                continue;
+            }
+            pool.submit([&slot, &aborted, &progress, &progress_mutex] {
+                if (aborted()) {
+                    slot.failed = true;
+                    return;
+                }
+                slot.result = executeCampaignJob(slot.job);
+                if (progress) {
+                    std::lock_guard<std::mutex> lock(progress_mutex);
+                    progress(slot);
+                }
+            });
+        }
+        pool.wait();
+    }
+    if (aborted())
+        report.aborted = true;
+}
+
+void
+finishCampaignReport(CampaignReport &report)
+{
+    SystemKind baseline;
+    if (findBaseline(report.grid, baseline)) {
+        report.baseline = systemKindName(baseline);
+        report.summaries = summarizeRuns(report.grid, report.runs, baseline);
+    }
+}
+
 CampaignReport
 CampaignRunner::run(unsigned jobs)
 {
@@ -746,64 +690,11 @@ CampaignRunner::run(unsigned jobs)
     if (!validateGrid(grid_, grid_error))
         throw std::invalid_argument("invalid campaign grid: " + grid_error);
 
-    const std::vector<CampaignJob> grid_jobs = expandGrid(grid_);
-
     CampaignReport report;
-    report.grid = grid_;
-    report.runs.resize(grid_jobs.size());
-
-    // Each worker writes only its own grid slot; the mutex guards the
-    // progress callback, not the results.
-    std::mutex progress_mutex;
-    {
-        // jobs == 1 -> inline execution on this thread (no workers).
-        ThreadPool pool(jobs == 1 ? 0 : ThreadPool::resolveThreads(jobs));
-        for (const CampaignJob &job : grid_jobs) {
-            if (resume_) {
-                const ResumeCache::Entry *hit =
-                    resume_->find(campaignJobKey(job));
-                if (hit) {
-                    CampaignRun &slot = report.runs[job.index];
-                    slot.job = job;
-                    slot.result = hit->result;
-                    slot.rawResultJson = hit->rawResultJson;
-                    slot.cached = true;
-                    report.cachedRuns++;
-                    continue;
-                }
-            }
-            if (abort_ && abort_->load()) {
-                // Interrupted: don't start new work; mark the slot so
-                // the partial report never misreads it as a result.
-                CampaignRun &slot = report.runs[job.index];
-                slot.job = job;
-                slot.failed = true;
-                continue;
-            }
-            pool.submit([this, job, &report, &progress_mutex] {
-                CampaignRun &slot = report.runs[job.index];
-                slot.job = job;
-                if (abort_ && abort_->load()) {
-                    slot.failed = true;
-                    return;
-                }
-                slot.result = executeCampaignJob(job);
-                if (progress_) {
-                    std::lock_guard<std::mutex> lock(progress_mutex);
-                    progress_(slot);
-                }
-            });
-        }
-        pool.wait();
-    }
-    if (abort_ && abort_->load())
-        report.aborted = true;
-
-    SystemKind baseline;
-    if (findBaseline(grid_, baseline)) {
-        report.baseline = systemKindName(baseline);
-        report.summaries = summarizeRuns(grid_, report.runs, baseline);
-    }
+    const std::vector<std::size_t> todo =
+        startCampaignReport(grid_, resume_, report);
+    executeCampaignSlots(report, todo, jobs, abort_, progress_);
+    finishCampaignReport(report);
     return report;
 }
 

@@ -299,13 +299,15 @@ class ResumeCache
   public:
     /**
      * Load entries from a prior report's JSON text (schema
-     * mondrian-campaign-v3/-v2, or legacy v1 as described above).
-     * Replaces the current contents.
+     * mondrian-campaign-v1 through -v4, as described above), decoding
+     * runs with the report model's readReportRun(). Replaces the current
+     * contents.
      *
-     * Corrupt entries inside an otherwise-parseable report (a malformed
-     * run object, a label without an axis-table entry, an unreadable
-     * result subtree) are skipped with a warn() naming the bad grid
-     * point — never cached as garbage. A truncated report fails the
+     * Unusable entries inside an otherwise-parseable report (a malformed
+     * or wrong-typed run object, a label without an axis-table entry, an
+     * unreadable result subtree) are skipped with a warn() naming the
+     * bad run — never cached as garbage. Two runs at one grid point are
+     * ambiguous: both are skipped. A truncated report fails the
      * top-level parse and returns false.
      * @return false with @p error set on parse/schema problems.
      */
@@ -355,6 +357,54 @@ class ResumeCache
   private:
     std::map<std::string, Entry> entries_;
 };
+
+/**
+ * One decoded campaign journal line (the format campaignJournalLine()
+ * writes; a worker-cache entry file holds exactly one).
+ */
+struct JournalEntry
+{
+    std::string key;           ///< campaignJobKey() of the grid point
+    RunResult result;          ///< the parsed result
+    std::string rawResultJson; ///< the "result" subtree, verbatim
+};
+
+/**
+ * Decode one {"key", "index", "result"} journal line: the single reader
+ * of the format, shared by ResumeCache::loadJournal() and the worker-side
+ * result cache.
+ * @return false with @p error naming the problem — and the line's grid
+ * key when even a torn line still carries it.
+ */
+bool decodeJournalLine(const std::string &line, JournalEntry &out,
+                       std::string &error);
+
+/**
+ * Start the report of a campaign over @p grid: one slot per expanded job,
+ * each carrying its job, and the grid points @p resume (may be null)
+ * holds filled from it and marked cached. Shared by CampaignRunner and
+ * CampaignCoordinator.
+ * @return the indices of the slots still to execute, in grid order.
+ */
+std::vector<std::size_t> startCampaignReport(const CampaignGrid &grid,
+                                             const ResumeCache *resume,
+                                             CampaignReport &report);
+
+/**
+ * The in-process executor: run the jobs of @p report's slots listed in
+ * @p todo on @p jobs threads (1 = serial on the calling thread, 0 = one
+ * per hardware thread), each task writing only its own slot. Once
+ * @p abort (may be null) reads true, unstarted slots are marked failed
+ * and report.aborted is set. @p progress (may be empty) sees each
+ * finished slot, serialized, in completion order.
+ */
+void executeCampaignSlots(
+    CampaignReport &report, const std::vector<std::size_t> &todo,
+    unsigned jobs, const std::atomic<bool> *abort,
+    const std::function<void(const CampaignRun &)> &progress);
+
+/** Fill @p report's baseline and summaries (first kCpu system, if any). */
+void finishCampaignReport(CampaignReport &report);
 
 /** Expands a grid and executes it on a thread pool. */
 class CampaignRunner

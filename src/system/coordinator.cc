@@ -24,7 +24,6 @@
 #include "common/json_parse.hh"
 #include "common/logging.hh"
 #include "net/transport.hh"
-#include "sim/thread_pool.hh"
 #include "system/campaign_spec.hh"
 #include "system/report.hh"
 
@@ -276,27 +275,17 @@ workerCacheLookup(const std::string &dir, const std::string &key,
         return false;
     std::stringstream ss;
     ss << in.rdbuf();
-    const std::string text = ss.str();
 
-    JsonValue root;
-    std::string parse_error;
-    if (!parseJson(text, root, parse_error)) {
-        std::fprintf(stderr, "worker: ignoring corrupt cache entry %s\n",
-                     path.c_str());
+    JournalEntry entry;
+    std::string error;
+    if (!decodeJournalLine(ss.str(), entry, error)) {
+        std::fprintf(stderr, "worker: ignoring unusable cache entry %s: "
+                     "%s\n", path.c_str(), error.c_str());
         return false;
     }
-    const JsonValue *stored_key = root.find("key");
-    if (!stored_key || !stored_key->isString() ||
-        stored_key->asString() != key)
+    if (entry.key != key)
         return false; // filename-hash collision or stale entry: a miss
-    const JsonValue *result = root.find("result");
-    RunResult parsed;
-    if (!result || !readRunResult(*result, parsed)) {
-        std::fprintf(stderr, "worker: ignoring unreadable cache entry %s\n",
-                     path.c_str());
-        return false;
-    }
-    raw_result = text.substr(result->begin, result->end - result->begin);
+    raw_result = std::move(entry.rawResultJson);
     return true;
 }
 
@@ -807,113 +796,41 @@ CampaignCoordinator::run()
     }
     const bool listening = listenSocket_.valid();
 
-    const std::vector<CampaignJob> jobs = expandGrid(grid_);
-
     CampaignReport report;
-    report.grid = grid_;
-    report.runs.resize(jobs.size());
-    for (const CampaignJob &job : jobs)
-        report.runs[job.index].job = job;
-
-    std::vector<bool> done(jobs.size(), false);
     std::deque<std::pair<std::size_t, double>> pending; // (index, readyAt)
-    for (const CampaignJob &job : jobs) {
-        if (resume_) {
-            const ResumeCache::Entry *hit =
-                resume_->find(campaignJobKey(job));
-            if (hit) {
-                CampaignRun &slot = report.runs[job.index];
-                slot.result = hit->result;
-                slot.rawResultJson = hit->rawResultJson;
-                slot.cached = true;
-                done[job.index] = true;
-                report.cachedRuns++;
-                continue;
-            }
-        }
-        pending.push_back({job.index, 0.0});
-    }
+    for (std::size_t index : startCampaignReport(grid_, resume_, report))
+        pending.push_back({index, 0.0});
+    const std::size_t job_count = report.runs.size();
 
     const std::size_t target = pending.size();
     std::size_t completed = 0, failed = 0;
-    std::vector<unsigned> attempts(jobs.size(), 0);
+    std::vector<bool> done(job_count, false); ///< a worker delivered it
+    std::vector<unsigned> attempts(job_count, 0);
     std::vector<FaultInjection> faults = config_.faults;
     std::vector<bool> fault_fired(faults.size(), false);
 
-    auto finalize = [&] {
-        SystemKind baseline;
-        for (SystemKind k : grid_.systems) {
-            if (k == SystemKind::kCpu) {
-                baseline = k;
-                report.baseline = systemKindName(baseline);
-                report.summaries =
-                    summarizeRuns(grid_, report.runs, baseline);
-                break;
-            }
-        }
-        return report;
-    };
-    if (target == 0)
-        return finalize();
-
-    // Progress callback serialization for the degraded thread-pool path
-    // (the event loop itself is single-threaded).
-    std::mutex progress_mutex;
-    auto run_done = [&](std::size_t index) {
-        done[index] = true;
-        ++completed;
-        if (progress_) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress_(report.runs[index]);
-        }
-    };
-
-    // Degraded in-process execution of every unresolved job (spawn
-    // failure fallback); also reused when the worker population proves
-    // unusable mid-campaign.
-    auto run_inline = [&] {
-        // Snapshot the unresolved slots before anything is submitted:
-        // pool workers flip bits of `done` (std::vector<bool> packs
-        // sixty-four slots per word, so done[i] and done[j] share
-        // storage) and this loop must not keep reading it concurrently —
-        // a data race TSan flagged on the degraded --workers path.
+    // Degraded in-process execution of every job the workers did not
+    // resolve (spawn failure fallback); also reused when the worker
+    // population proves unusable mid-campaign.
+    auto run_in_process = [&] {
         std::vector<std::size_t> todo;
-        for (const CampaignJob &job : jobs)
-            if (!done[job.index] && !report.runs[job.index].failed)
-                todo.push_back(job.index);
-        ThreadPool pool(config_.workers <= 1
-                            ? 0
-                            : ThreadPool::resolveThreads(config_.workers));
-        for (std::size_t index : todo) {
-            const CampaignJob &job = jobs[index];
-            if (abort_ && abort_->load()) {
-                report.runs[job.index].failed = true;
-                report.aborted = true;
-                continue;
-            }
-            pool.submit([&, job] {
-                if (abort_ && abort_->load()) {
-                    report.runs[job.index].failed = true;
-                    return;
-                }
-                report.runs[job.index].result = executeCampaignJob(job);
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                done[job.index] = true;
-                ++completed;
-                if (progress_)
-                    progress_(report.runs[job.index]);
-            });
-        }
-        pool.wait();
-        if (abort_ && abort_->load())
-            report.aborted = true;
+        for (std::size_t i = 0; i < job_count; ++i)
+            if (!done[i] && !report.runs[i].cached &&
+                !report.runs[i].failed)
+                todo.push_back(i);
+        executeCampaignSlots(report, todo, std::max(1u, config_.workers),
+                             abort_, progress_);
     };
-
+    if (target == 0) {
+        finishCampaignReport(report);
+        return report;
+    }
     // Nothing to run workers with and nobody to wait for: execute
     // in-process rather than spinning forever.
     if (!listening && config_.workers == 0) {
-        run_inline();
-        return finalize();
+        run_in_process();
+        finishCampaignReport(report);
+        return report;
     }
 
     // --------------------------------------------------- spawn machinery
@@ -1268,7 +1185,7 @@ CampaignCoordinator::run()
                     // into a DIFFERENT grid — never assign to it.
                     const JsonValue *count = msg.find("jobs");
                     if (!w.remote || !count ||
-                        count->asU64() != jobs.size()) {
+                        count->asU64() != job_count) {
                         desync = true;
                         break;
                     }
@@ -1279,7 +1196,7 @@ CampaignCoordinator::run()
                 } else if (kind == "result" || kind == "error") {
                     const JsonValue *idx = msg.find("index");
                     if (!idx ||
-                        idx->asU64() >= jobs.size() ||
+                        idx->asU64() >= job_count ||
                         w.job !=
                             static_cast<std::ptrdiff_t>(idx->asU64())) {
                         desync = true;
@@ -1307,7 +1224,10 @@ CampaignCoordinator::run()
                         ++report.workerCacheHits;
                     report.runs[index].result = std::move(parsed);
                     consecutive_failures = 0;
-                    run_done(index);
+                    done[index] = true;
+                    ++completed;
+                    if (progress_)
+                        progress_(report.runs[index]);
                 } else {
                     desync = true;
                     break;
@@ -1367,9 +1287,9 @@ CampaignCoordinator::run()
     ::sigaction(SIGPIPE, &old_pipe, nullptr);
 
     if (degraded)
-        run_inline();
-
-    return finalize();
+        run_in_process();
+    finishCampaignReport(report);
+    return report;
 }
 
 } // namespace mondrian

@@ -14,22 +14,27 @@
  * run keeps its grid coordinates as the canonical axis labels the report
  * itself used, so run identity is stable across loads.
  *
- * Unlike ResumeCache::load — which silently skips entries it cannot use,
- * because a resume cache is best-effort — loading a model fails loudly on
- * malformed runs: an analysis over a half-parsed report would produce
- * confidently wrong numbers.
+ * readReportHeader()/readReportRun() are the one decoder of report
+ * runs; loadReportModel() and ResumeCache::load() both call them and
+ * differ only in their failure policy. Loading a model fails loudly on
+ * the first malformed run — an analysis over a half-parsed report would
+ * produce confidently wrong numbers — while the best-effort resume cache
+ * warns and skips it.
  */
 
 #ifndef MONDRIAN_SYSTEM_REPORT_MODEL_HH
 #define MONDRIAN_SYSTEM_REPORT_MODEL_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "system/runner.hh"
 
 namespace mondrian {
+
+struct JsonValue;
 
 /** One run of a loaded report: grid coordinates plus the parsed result. */
 struct ReportRun
@@ -50,6 +55,10 @@ struct ReportRun
      *  reports and degenerate v4 runs. */
     std::string traffic = "none";
     RunResult result;
+    /** Byte span [resultBegin, resultEnd) of the run's "result" subtree
+     *  in the report text, for verbatim splicing. */
+    std::size_t resultBegin = 0;
+    std::size_t resultEnd = 0;
 
     /**
      * Identity of this run's grid point: every axis coordinate at a
@@ -101,6 +110,48 @@ struct ReportModel
     std::vector<ReportRun> runs;
     std::vector<ReportSummaryRow> summaries; ///< as stored in the report
 };
+
+/**
+ * What a report's runs are decoded against: the schema and the grid
+ * block's axis tables, keyed by the labels runs carry. A v1 report has
+ * no tables; its one implicit point (the default geometry and the
+ * "base" exec point) is entered so v1 labels resolve like any other.
+ * Malformed table entries are left out: what an unresolvable label
+ * means is the caller's call (the model keeps the label, the resume
+ * cache skips the run).
+ */
+struct ReportHeader
+{
+    int schemaVersion = 2; ///< 1 (legacy), 2, 3 (scenarios), 4 (traffic)
+    std::string paper;
+    double v1ZipfTheta = 0.0; ///< v1: the campaign-wide theta
+    std::map<std::string, MemGeometry> geometries;
+    std::map<std::string, ExecOverride> execOverrides;
+    /** v3+: scenario label -> the scenario with its stage structure. */
+    std::map<std::string, Scenario> scenarios;
+    const JsonValue *runs = nullptr; ///< the runs array (inside the doc)
+};
+
+/**
+ * Read the schema, grid tables and runs array of a parsed report @p doc.
+ * @return false with @p error on an unknown schema or a missing runs
+ * array. @p out points into @p doc, which must outlive it.
+ */
+bool readReportHeader(const JsonValue &doc, ReportHeader &out,
+                      std::string &error);
+
+/**
+ * Decode one element of the runs array — the only code that reads run
+ * fields. Every coordinate is type-checked (a wrong-typed one would
+ * decode as 0/"" and land the run at the wrong grid point); v1 runs get
+ * the default geometry, the "base" exec point and the campaign-wide
+ * theta, pre-v4 runs the "none" traffic point. Labels are not resolved
+ * through the tables. @p position (the run's array index) names the run
+ * in @p error and is its index when the run carries none.
+ * @return false with @p error when the run is malformed.
+ */
+bool readReportRun(const JsonValue &run, const ReportHeader &header,
+                   std::size_t position, ReportRun &out, std::string &error);
 
 /**
  * Parse report JSON (schema mondrian-campaign-v1 through -v4) into

@@ -1021,6 +1021,112 @@ TEST(Resume, RejectsForeignDocuments)
     EXPECT_EQ(cache.size(), 0u);
 }
 
+namespace {
+
+/** cpu+nmp scan at 2^8 over @p seed: the two-run grid the resume
+ *  input regressions splice between. */
+CampaignGrid
+seedGrid(std::uint64_t seed)
+{
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kCpu, SystemKind::kNmp};
+    grid.scenarios = {degenerateScenario(OpKind::kScan)};
+    grid.log2Tuples = {8};
+    grid.seeds = {seed};
+    return grid;
+}
+
+/** Replace the first occurrence of @p from in @p text with @p to. */
+std::string
+replaceFirst(std::string text, const std::string &from,
+             const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+} // namespace
+
+TEST(Resume, WrongTypedCoordinateIsSkippedNotSpliced)
+{
+    // asU64() reads a string as 0, so an unchecked "seed": "3" would
+    // file a seed-3 result under seed 0 and splice it into a seed-0
+    // report.
+    const std::string fresh0 =
+        campaignReportJson(CampaignRunner(seedGrid(0)).run(1));
+    const std::string report3 =
+        campaignReportJson(CampaignRunner(seedGrid(3)).run(1));
+    const std::string edits[][2] = {
+        {"\"seed\": 3,", "\"seed\": \"3\","},
+        {"\"log2_tuples\": 8,", "\"log2_tuples\": \"8\","}};
+    for (const auto &edit : edits) {
+        SCOPED_TRACE(edit[1]);
+        // The runs array comes after the grid block's "log2_tuples": [8].
+        const std::size_t runs_at = report3.find("\"runs\"");
+        ASSERT_NE(runs_at, std::string::npos);
+        const std::string bad =
+            report3.substr(0, runs_at) +
+            replaceFirst(report3.substr(runs_at), edit[0], edit[1]);
+
+        ResumeCache cache;
+        std::string err;
+        testing::internal::CaptureStderr();
+        const bool loaded = cache.load(bad, err);
+        const std::string warnings = testing::internal::GetCapturedStderr();
+        ASSERT_TRUE(loaded) << err;
+        EXPECT_EQ(cache.size(), 1u); // the untouched run still loads
+        EXPECT_NE(warnings.find("resume: skipping"), std::string::npos);
+        EXPECT_NE(warnings.find("wrong-typed"), std::string::npos);
+
+        CampaignRunner runner(seedGrid(0));
+        runner.setResume(&cache);
+        const CampaignReport resumed = runner.run(1);
+        EXPECT_EQ(resumed.cachedRuns, 0u);
+        EXPECT_EQ(campaignReportJson(resumed), fresh0);
+    }
+}
+
+TEST(Resume, DuplicateGridPointSplicesNeither)
+{
+    const CampaignGrid grid = seedGrid(42);
+    CampaignReport report = CampaignRunner(grid).run(1);
+    const std::string fresh = campaignReportJson(report);
+    // A second nmp run at the nmp grid point, with a different result:
+    // which one a last-wins cache would splice is an accident of order.
+    CampaignRun twin = report.runs[1];
+    twin.result.totalTime += 1;
+    report.runs.push_back(twin);
+
+    ResumeCache cache;
+    std::string err;
+    testing::internal::CaptureStderr();
+    ASSERT_TRUE(cache.load(campaignReportJson(report), err)) << err;
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cache.size(), 1u); // only the cpu run is unambiguous
+    EXPECT_NE(warnings.find("shares its grid point"), std::string::npos);
+
+    CampaignRunner runner(grid);
+    runner.setResume(&cache);
+    const CampaignReport resumed = runner.run(1);
+    EXPECT_EQ(resumed.cachedRuns, 1u);
+    EXPECT_TRUE(resumed.runs[0].cached);
+    EXPECT_FALSE(resumed.runs[1].cached);
+    // The runs subtree matches a fresh campaign byte for byte (summary
+    // geomeans are only numerically guaranteed after a splice).
+    auto runsSpan = [](const std::string &json) {
+        JsonValue doc;
+        std::string perr;
+        EXPECT_TRUE(parseJson(json, doc, perr)) << perr;
+        const JsonValue *runs = doc.find("runs");
+        return runs ? json.substr(runs->begin, runs->end - runs->begin)
+                    : std::string();
+    };
+    EXPECT_EQ(runsSpan(campaignReportJson(resumed)), runsSpan(fresh));
+}
+
 TEST(JsonParse, RoundTripsWriterOutput)
 {
     JsonWriter w;
