@@ -17,6 +17,8 @@
  * outstanding windows x DRAM/NoC hops). The trajectory metric
  * `events_per_sec` is the aggregate throughput over the whole sweep, so
  * a queue that only wins when buckets hold one event cannot game it.
+ * A served-shape sparse row (benchSparseKernel) runs alongside; CI
+ * compares it with the dense aggregate from the same process.
  *
  * The campaign section reports simulated-event counts (RunResult::
  * simEvents summed over the grid) and events per wall second — the
@@ -79,6 +81,28 @@ struct KernelPoint
 };
 
 /**
+ * A self-rescheduling event chain: each step draws a pseudo-random delta
+ * in [1, mask + 1] ticks and schedules the next, @c left steps in all.
+ */
+struct Chain
+{
+    EventQueue *eq;
+    std::uint64_t left;
+    std::uint64_t seed;
+    Tick mask;
+
+    static void
+    step(Chain *ch)
+    {
+        if (--ch->left == 0)
+            return;
+        ch->seed = ch->seed * 6364136223846793005ull + 1442695040888963407ull;
+        Tick d = 1 + ((ch->seed >> 40) & ch->mask);
+        ch->eq->scheduleIn(d, [ch]() { step(ch); });
+    }
+};
+
+/**
  * Event-kernel throughput at one load level: @p chains self-rescheduling
  * chains with pseudo-random near-now deltas — the scheduling pattern the
  * calendar queue serves. Every scale runs the same total event count so
@@ -90,28 +114,11 @@ benchEventKernel(unsigned chains)
     EventQueue eq;
     const std::uint64_t per_chain = std::uint64_t{6400000} / chains;
 
-    struct Chain
-    {
-        EventQueue *eq;
-        std::uint64_t left;
-        std::uint64_t seed;
-
-        static void
-        step(Chain *ch)
-        {
-            if (--ch->left == 0)
-                return;
-            ch->seed = ch->seed * 6364136223846793005ull +
-                       1442695040888963407ull;
-            Tick d = 1 + ((ch->seed >> 40) & 4095);
-            ch->eq->scheduleIn(d, [ch]() { step(ch); });
-        }
-    };
-
     std::vector<Chain> chain_state(chains);
     for (unsigned c = 0; c < chains; ++c) {
         chain_state[c] = Chain{&eq, per_chain,
-                               static_cast<std::uint64_t>(c) * 2654435761u};
+                               static_cast<std::uint64_t>(c) * 2654435761u,
+                               4095};
         Chain *ch = &chain_state[c];
         eq.schedule(static_cast<Tick>(c), [ch]() { Chain::step(ch); });
     }
@@ -124,6 +131,53 @@ benchEventKernel(unsigned chains)
     p.events = eq.executed();
     p.eventsPerSec = static_cast<double>(p.events) / p.seconds;
     return p;
+}
+
+/**
+ * Served-shape (sparse) kernel throughput: each arrival chains the next
+ * one far beyond the calendar horizon — first, on a queue its own pop
+ * just emptied — and then starts a burst of kBurst chains with deltas of
+ * at most 32 ticks, so the burst shares one or two buckets while the
+ * next arrival waits in the overflow heap.
+ */
+KernelPoint
+benchSparseKernel()
+{
+    constexpr unsigned kArrivals = 64, kBurst = 256, kSteps = 100;
+    constexpr Tick kGap = Tick{1} << 28;
+
+    struct Source
+    {
+        EventQueue *eq;
+        unsigned left;
+        std::vector<Chain> chains;
+
+        static void
+        arrive(Source *src)
+        {
+            if (--src->left > 0)
+                src->eq->scheduleIn(kGap, [src]() { arrive(src); });
+            for (unsigned c = 0; c < kBurst; ++c) {
+                Chain *ch = &src->chains[c];
+                *ch = Chain{src->eq, kSteps,
+                            (std::uint64_t{src->left} << 16) + c, 31};
+                src->eq->scheduleIn(1 + c % 7, [ch]() { Chain::step(ch); });
+            }
+        }
+    };
+    EventQueue eq;
+    Source src{&eq, kArrivals, std::vector<Chain>(kBurst)};
+    Source *p = &src;
+    eq.schedule(0, [p]() { Source::arrive(p); });
+    auto t0 = Clock::now();
+    eq.run();
+
+    KernelPoint k;
+    k.chains = kBurst;
+    k.seconds = secondsSince(t0);
+    k.events = eq.executed();
+    k.eventsPerSec = static_cast<double>(k.events) / k.seconds;
+    return k;
 }
 
 /** Fixed-latency local memory path for the replay microbench. */
@@ -331,6 +385,12 @@ main(int argc, char **argv)
     const double events_per_sec =
         static_cast<double>(kernel_events) / kernel_seconds;
     std::printf("event kernel aggregate: %.3g events/s\n", events_per_sec);
+    const KernelPoint sparse = benchSparseKernel();
+    std::printf("event kernel sparse (served shape): %.3g events/s "
+                "(%llu events, %.2fs; %.2fx the dense aggregate)\n",
+                sparse.eventsPerSec,
+                static_cast<unsigned long long>(sparse.events),
+                sparse.seconds, sparse.eventsPerSec / events_per_sec);
 
     ReplayResult replay = benchTraceReplay();
     std::printf("trace replay: %.3g expanded-ops/s; RLE %.2fs vs expanded "
@@ -387,6 +447,12 @@ main(int argc, char **argv)
         w.endObject();
     }
     w.endArray();
+    w.key("sparse").beginObject();
+    w.member("burst_chains", std::uint64_t{sparse.chains});
+    w.member("events_per_sec", sparse.eventsPerSec);
+    w.member("events", sparse.events);
+    w.member("seconds", sparse.seconds);
+    w.endObject();
     w.endObject();
     w.key("trace_replay").beginObject();
     w.member("trace_ops_per_sec", replay.opsPerSec);

@@ -144,24 +144,45 @@ EventQueue::currentBucket()
             b = &buckets_[bucketIndexOf(base_)];
         }
     }
-    // Lazy sort: keys appended since the last pop/peek join the order
-    // here, once, instead of a min-scan on every pop.
+    // Lazy merge: keys appended since the last pop/peek join the order
+    // here, once, instead of a min-scan on every pop. The pending run
+    // [cursor, sorted) is already ordered, so only the late keys
+    // [sorted, end) are sorted and then merged into it from the back:
+    // the cost is the late keys plus the pending keys they overtake,
+    // never a re-sort of the whole run.
     if (b->sorted < b->keys.size()) {
-        auto first = b->keys.begin() + b->cursor;
-        auto last = b->keys.end();
-        const std::ptrdiff_t n = last - first;
+        Bucket::Key *run = b->keys.data() + b->cursor;
+        Bucket::Key *late = b->keys.data() + b->sorted;
+        Bucket::Key *last = b->keys.data() + b->keys.size();
+        const std::ptrdiff_t n = last - late;
         if (n <= 8) {
-            // Buckets typically hold a handful of keys; a branch-light
-            // insertion sort beats the std::sort call for these.
+            // Typically a handful of late keys; a branch-light insertion
+            // sort beats the std::sort call for these.
             for (std::ptrdiff_t i = 1; i < n; ++i) {
-                Bucket::Key k = first[i];
+                Bucket::Key k = late[i];
                 std::ptrdiff_t j = i;
-                for (; j > 0 && EarlierKey{}(k, first[j - 1]); --j)
-                    first[j] = first[j - 1];
-                first[j] = k;
+                for (; j > 0 && EarlierKey{}(k, late[j - 1]); --j)
+                    late[j] = late[j - 1];
+                late[j] = k;
             }
         } else {
-            std::sort(first, last, EarlierKey{});
+            std::sort(late, last, EarlierKey{});
+        }
+        if (run != late && EarlierKey{}(*late, late[-1])) {
+            // Largest late key first: find where it belongs in what is
+            // left of the run, shift the run keys above it up in one
+            // block move, and drop it in below them.
+            lateKeys_.assign(late, last);
+            Bucket::Key *runEnd = late;
+            Bucket::Key *dst = last;
+            for (auto lk = lateKeys_.rbegin(); lk != lateKeys_.rend();
+                 ++lk) {
+                Bucket::Key *at =
+                    std::upper_bound(run, runEnd, *lk, EarlierKey{});
+                dst = std::move_backward(at, runEnd, dst);
+                runEnd = at;
+                *--dst = *lk;
+            }
         }
         b->sorted = static_cast<std::uint32_t>(b->keys.size());
     }
@@ -286,7 +307,6 @@ EventQueue::reset()
     executed_ = 0;
     coalesced_ = 0;
     curSeq_ = ~std::uint64_t{0};
-    lastSlot_ = kNilSlot;
     coalSlot_ = kNilSlot;
     stopRequested_ = false;
 }

@@ -20,6 +20,14 @@
  *    24-byte ordering keys, sorted lazily when the window reaches it, so
  *    popping is a cursor increment — no per-pop min-scan, no tombstones,
  *    no compaction;
+ *  - the window tracks simulated time (Brown's calendar "year"): a
+ *    schedule never anchors it ahead of now(), so a far-future event
+ *    scheduled on an empty queue goes to the overflow heap instead of
+ *    pulling every later event into one bucket. Only a pop or peek moves
+ *    the window ahead, and only to the bucket holding the minimum; keys
+ *    that then land at or below it are "late" and are merged into the
+ *    bucket's ordered pending run, at a cost proportional to the keys
+ *    they overtake (see currentBucket());
  *  - an occupancy bitmap with a one-word summary lets the window skip
  *    runs of empty buckets in one rotate-and-count (see setSkipAhead);
  *  - the rare far-future event goes to an overflow binary heap and
@@ -233,10 +241,10 @@ class EventQueue
 
     /**
      * One calendar bucket: compact ordering keys only (the callbacks live
-     * in the slot arena). keys[0..cursor) are executed; keys[cursor..)
-     * are pending, and sorted by (when, seq) once `sorted` catches up to
-     * keys.size() — the sort runs lazily when the window pops or peeks
-     * the bucket, so schedule() is a plain append.
+     * in the slot arena). keys[0..cursor) are executed; keys[cursor..
+     * sorted) are pending and ordered by (when, seq); keys[sorted..) are
+     * late appends, merged into the ordered run lazily when the window
+     * pops or peeks the bucket, so schedule() is a plain append.
      */
     struct Bucket
     {
@@ -334,8 +342,11 @@ class EventQueue
     {
         if (when < now_)
             schedulePastPanic(when);
+        // Re-anchor after idle gaps at simulated time, never at @p when,
+        // so a far-future first event overflows instead of dragging the
+        // window ahead of now_ (the window invariant, see place()).
         if (size_ == 0)
-            base_ = when & ~(kWidth - 1); // re-anchor after idle gaps
+            base_ = now_ & ~(kWidth - 1);
         const std::uint32_t si =
             place(when, nextSeq_++, std::forward<F>(cb));
         ++size_;
@@ -351,12 +362,15 @@ class EventQueue
     std::uint32_t
     place(Tick when, std::uint64_t seq, F &&cb)
     {
-        // Everything at or below the current bucket's range joins the
-        // current bucket: the lazy sort handles mixed ticks within a
-        // bucket, and this keeps "the global minimum lives in the
-        // current bucket" true even when the window has been advanced
-        // past a just-scheduled tick (possible after runUntil peeks
-        // ahead).
+        // Window invariant: a schedule never moves base_ ahead of now_
+        // (scheduleGetSlot anchors an empty queue at now_); only a pop or
+        // peek advances it, to the bucket holding the minimum. Everything
+        // at or below the current bucket's range therefore joins the
+        // current bucket as a late key: currentBucket() merges it into
+        // the ordered pending run, and "the global minimum lives in the
+        // current bucket" stays true even when the window has been
+        // advanced past a just-scheduled tick (runUntil's peek, or the
+        // jump to a far-future overflow event).
         std::size_t idx;
         if (when < base_ + kWidth) {
             idx = bucketIndexOf(base_);
@@ -403,8 +417,8 @@ class EventQueue
 
     /**
      * Position the window on the bucket holding the minimal pending
-     * event and return it, tail-sorted so keys[cursor] is that minimum.
-     * Queue must not be empty.
+     * event and return it with its late keys merged, so keys[cursor] is
+     * that minimum. Queue must not be empty.
      */
     Bucket &currentBucket();
 
@@ -432,6 +446,9 @@ class EventQueue
     std::vector<std::uint64_t> occupied_; ///< bitmap over buckets
     std::uint64_t summary_ = 0; ///< bit w set iff occupied_[w] != 0
     std::vector<Event> overflow_;         ///< min-heap beyond horizon
+    /** Scratch copy of a bucket's late keys during the merge in
+     *  currentBucket() (kept to reuse its capacity). */
+    std::vector<Bucket::Key> lateKeys_;
     /** Pointer-stable callback arena; keys reference slots by index. */
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     Slot *chunk0_ = nullptr; ///< chunks_[0].get() (hot-path shortcut)
@@ -447,9 +464,6 @@ class EventQueue
     /** Seq of the event currently (or last) executed — with now_, the
      *  "has the coalescing candidate already run" comparison point. */
     std::uint64_t curSeq_ = ~std::uint64_t{0};
-    /** Arena slot of the event place() most recently filed (kNilSlot
-     *  after an overflow placement). */
-    std::uint32_t lastSlot_ = kNilSlot;
     // Coalescing candidate: the last scheduleCoalesced()-scheduled event.
     std::uint32_t coalSlot_ = kNilSlot;
     Tick coalWhen_ = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -223,6 +225,216 @@ TEST(EventQueue, ResetAfterMixedScheduling)
     eq.schedule(3, [&] { ++fired; });
     eq.run();
     EXPECT_EQ(fired, 1);
+}
+
+// --- Order oracle over adversarial window shapes. Every event goes
+// through OrderOracle, which numbers schedule calls in call order; since
+// every call targets a tick >= now(), the queue's (tick, insertion seq)
+// contract means the events must run in a stable sort of that call order
+// by tick. ---
+
+namespace {
+
+/** Schedules through @p eq and checks the resulting pop order. */
+class OrderOracle
+{
+  public:
+    explicit OrderOracle(EventQueue &eq) : eq_(eq) {}
+
+    /** Schedule @p f at @p t (coalescing when @p coalesce is set). */
+    template <typename F>
+    void
+    schedule(Tick t, F f, bool coalesce = false)
+    {
+        const auto id = static_cast<std::uint32_t>(when_.size());
+        when_.push_back(t);
+        auto cb = [this, id, f]() {
+            ran_.push_back(id);
+            f();
+        };
+        if (coalesce)
+            eq_.scheduleCoalesced(t, cb);
+        else
+            eq_.schedule(t, cb);
+    }
+
+    std::size_t scheduled() const { return when_.size(); }
+
+    /** The order the (tick, call order) contract demands. */
+    std::vector<std::uint32_t>
+    expected() const
+    {
+        std::vector<std::uint32_t> ids(when_.size());
+        for (std::uint32_t i = 0; i < ids.size(); ++i)
+            ids[i] = i;
+        std::stable_sort(ids.begin(), ids.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return when_[a] < when_[b];
+                         });
+        return ids;
+    }
+
+    const std::vector<std::uint32_t> &ran() const { return ran_; }
+
+  private:
+    EventQueue &eq_;
+    std::vector<Tick> when_;
+    std::vector<std::uint32_t> ran_;
+};
+
+/** One LCG step; the high bits are the usable output. */
+std::uint64_t
+nextLcg(std::uint64_t &s)
+{
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return s >> 33;
+}
+
+/**
+ * Self-rescheduling chains through an OrderOracle: each step draws a
+ * delta in [1, maxDelta] and schedules the next step, @p steps times.
+ */
+struct ChainSet
+{
+    OrderOracle *oracle;
+    EventQueue *eq;
+    Tick maxDelta;
+    std::uint64_t seed;
+    std::vector<std::uint32_t> left;
+
+    void
+    start(std::size_t chains, std::uint32_t steps, Tick first, Tick spread)
+    {
+        left.assign(chains, steps);
+        for (std::size_t c = 0; c < chains; ++c)
+            stepAt(c, first + static_cast<Tick>(c) * spread);
+    }
+
+    void
+    stepAt(std::size_t c, Tick t)
+    {
+        oracle->schedule(t, [this, c]() {
+            if (--left[c] > 0)
+                stepAt(c, eq->now() + 1 + nextLcg(seed) % maxDelta);
+        });
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, OrderOracleFarFutureFirstOnEmptyQueue)
+{
+    // Served-traffic shape: an arrival pops on a now-empty queue, chains
+    // the next arrival far ahead *first*, then schedules its query's
+    // events before it: near-now, inside the window, across bucket
+    // boundaries and beyond the horizon but before the next arrival.
+    EventQueue eq;
+    OrderOracle oracle(eq);
+    std::uint64_t lcg = 99;
+    int arrivals = 40;
+    std::function<void()> arrive = [&] {
+        if (--arrivals > 0)
+            oracle.schedule(eq.now() + 50'000'000 + nextLcg(lcg) % 1000,
+                            arrive);
+        for (int i = 0; i < 60; ++i) {
+            Tick d;
+            switch (nextLcg(lcg) % 4) {
+              case 0: d = nextLcg(lcg) % 64; break;
+              case 1: d = nextLcg(lcg) % 600'000; break;
+              case 2: d = (nextLcg(lcg) % 64) * 128; break;
+              default: d = 1'000'000 + nextLcg(lcg) % 40'000'000; break;
+            }
+            oracle.schedule(eq.now() + d, [] {});
+        }
+    };
+    oracle.schedule(7, arrive);
+    eq.run();
+    EXPECT_EQ(oracle.ran(), oracle.expected());
+    EXPECT_EQ(eq.executed(), oracle.scheduled());
+}
+
+TEST(EventQueue, OrderOracleSchedulesBehindPeekedWindow)
+{
+    // runUntil peeks the head; when it lies past the limit the window
+    // has moved ahead of now(), and the next schedules land in
+    // [now, base): before, among and after the keys already pending.
+    EventQueue eq;
+    OrderOracle oracle(eq);
+    std::uint64_t lcg = 4242;
+    for (int i = 0; i < 20; ++i)
+        oracle.schedule(1'000 + nextLcg(lcg) % 2'000'000, [] {});
+    for (int round = 0; round < 200; ++round) {
+        eq.runUntil(eq.now() + nextLcg(lcg) % 300'000);
+        for (int i = 0; i < 10; ++i) {
+            const Tick d = (nextLcg(lcg) % 2) ? nextLcg(lcg) % 256
+                                              : nextLcg(lcg) % 1'000'000;
+            oracle.schedule(eq.now() + d, [] {});
+        }
+    }
+    eq.run();
+    EXPECT_EQ(oracle.ran(), oracle.expected());
+    EXPECT_EQ(eq.executed(), oracle.scheduled());
+}
+
+TEST(EventQueue, OrderOracleLateKeysIntoDrainingBucketWithCoalescing)
+{
+    // Events in the bucket being drained append keys to it that land
+    // before, among and after its pending keys (ticks now+0 .. now+127),
+    // half of them through scheduleCoalesced so follower chains form on
+    // same-tick runs.
+    EventQueue eq;
+    eq.setCoalescing(true);
+    OrderOracle oracle(eq);
+    std::uint64_t lcg = 7;
+    int budget = 20'000;
+    std::function<void()> spawn = [&] {
+        const int fan = static_cast<int>(nextLcg(lcg) % 4);
+        for (int i = 0; i < fan && budget > 0; ++i, --budget) {
+            const std::uint64_t r = nextLcg(lcg);
+            const Tick d = (r & 1) ? 0 : (r >> 1) % 128;
+            oracle.schedule(eq.now() + d, spawn, (r >> 8) & 1);
+        }
+    };
+    for (int i = 0; i < 64; ++i)
+        oracle.schedule(nextLcg(lcg) % 128, spawn, i & 1);
+    eq.run();
+    EXPECT_EQ(oracle.ran(), oracle.expected());
+    EXPECT_EQ(eq.executed() + eq.coalesced(), oracle.scheduled());
+    EXPECT_GT(eq.coalesced(), 0u);
+}
+
+// --- Cost regressions. Each shape below makes a calendar queue that
+// re-sorts a bucket's whole pending run on every pop do ~n log n work
+// per event (minutes in total); the queue does it in milliseconds. The
+// ctest TIMEOUT on this binary (CMakeLists.txt) is the gate. ---
+
+TEST(EventQueueCost, IdleGapReanchorThenBurstAcrossBuckets)
+{
+    // A far-future event scheduled first on an empty queue must not drag
+    // the window ahead of now(): the burst that follows spreads over
+    // ~500 buckets and must stay spread.
+    EventQueue eq;
+    OrderOracle oracle(eq);
+    oracle.schedule(Tick{1} << 40, [] {});
+    ChainSet chains{&oracle, &eq, 65'536, 1, {}};
+    chains.start(16'384, 16, 1, 37);
+    eq.run();
+    EXPECT_EQ(oracle.ran(), oracle.expected());
+    EXPECT_EQ(eq.now(), Tick{1} << 40);
+}
+
+TEST(EventQueueCost, DenseBurstInsideOneBucket)
+{
+    // perfbench's sparse-queue burst: many chains with deltas of at most
+    // 32 ticks share one 128-tick bucket, and every pop appends a late
+    // key among the pending ones.
+    EventQueue eq;
+    OrderOracle oracle(eq);
+    ChainSet chains{&oracle, &eq, 32, 5, {}};
+    chains.start(2'048, 800, 1, 0);
+    eq.run();
+    EXPECT_EQ(oracle.ran(), oracle.expected());
+    EXPECT_EQ(eq.executed(), oracle.scheduled());
 }
 
 TEST(ClockDomain, Conversions)
