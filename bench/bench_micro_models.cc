@@ -57,7 +57,7 @@ BM_VaultStream(benchmark::State &state)
         EventQueue eq;
         VaultController vault(eq, map, 0, DramTiming{}, 16);
         for (unsigned i = 0; i < 256; ++i)
-            vault.enqueue(MemRequest{Addr{i} * 256, 256, false, 0, 0, nullptr});
+            vault.enqueue(MemRequest{Addr{i} * 256, 256, false});
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * 256);

@@ -26,7 +26,10 @@
 
 namespace mondrian {
 
-/** Cache geometry and policy parameters. */
+/**
+ * Cache geometry and policy parameters. The line size and the set count
+ * (sizeBytes / (lineBytes * associativity)) must be powers of two.
+ */
 struct CacheConfig
 {
     std::uint64_t sizeBytes = 32 * kKiB;
@@ -135,35 +138,47 @@ class Cache
     static constexpr std::uint8_t kDirty = 2;
     static constexpr std::uint8_t kPrefetched = 4;
 
-    std::uint64_t lineAddr(Addr a) const { return a / cfg_.lineBytes; }
-    std::size_t setOf(std::uint64_t line) const { return line % numSets_; }
+    // Geometry is power-of-two (checked at construction), so indexing
+    // is a shift and a mask: no division on the per-access path.
+    std::uint64_t lineAddr(Addr a) const { return a >> lineShift_; }
+    std::size_t setOf(std::uint64_t line) const { return line & setMask_; }
 
     /** Sentinel way index: no matching way in the set. */
     static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-    /** One-pass set lookup: matching way (or kNoWay) plus fill victim. */
-    struct Probe
-    {
-        std::size_t hit;    ///< way holding the line, or kNoWay
-        std::size_t victim; ///< way a fill would replace (miss only)
-    };
-    Probe probe(std::uint64_t line) const;
+    /** Way of @p set holding @p line, or kNoWay. */
+    std::size_t lookup(std::size_t set, std::uint64_t line) const;
 
     /**
-     * Install @p line over way @p idx (a victim probe() selected).
+     * Way a fill into @p set replaces: the first invalid way, else the
+     * least recently used one (first minimum stamp on ties).
+     */
+    std::size_t victim(std::size_t set) const;
+
+    /**
+     * Install @p line over way @p idx of @p set (a victim() pick).
      * @return dirty victim address if any.
      */
-    std::optional<Addr> fillAt(std::size_t idx, std::uint64_t line,
-                               bool dirty, bool prefetched);
+    std::optional<Addr> fillAt(std::size_t set, std::size_t idx,
+                               std::uint64_t line, bool dirty,
+                               bool prefetched);
 
     CacheConfig cfg_;
     std::size_t numSets_;
-    // Structure-of-arrays line metadata: the tag probe — the per-access
+    unsigned lineShift_ = 0;
+    std::uint64_t setMask_ = 0;
+    // Structure-of-arrays line metadata: the tag scan — the per-access
     // hot loop — touches only the dense tag array. Invalid ways hold
-    // kNoTag so the probe needs no validity test.
+    // kNoTag so lookup() needs no validity test.
     std::vector<std::uint64_t> tags_;   ///< numSets_ x associativity
     std::vector<std::uint64_t> stamps_; ///< LRU stamps
     std::vector<std::uint8_t> flags_;   ///< kValid | kDirty | kPrefetched
+    /**
+     * Valid ways per set. Only fills validate a way, always the first
+     * invalid one, and only flush() invalidates, so the valid ways of a
+     * set are exactly its first fills_[set] ways.
+     */
+    std::vector<std::uint32_t> fills_;
     std::uint64_t stamp_ = 0;
     CacheStats stats_;
 };

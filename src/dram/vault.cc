@@ -23,6 +23,7 @@ VaultController::enqueue(MemRequest &&req)
 {
     sim_assert(req.size > 0);
     sim_assert(map_.vaultOf(req.addr) == vault_);
+    sim_assert(!req.token || onComplete);
 
     if (req.isWrite && permArmed_ &&
         req.addr >= permRegion_.base &&
@@ -42,11 +43,13 @@ VaultController::enqueue(MemRequest &&req)
         }
         permCursor_ += req.size;
         stats_.permutableWrites++;
-        if (req.onComplete) {
+        if (req.token) {
             Tick now = eq_.now();
             // Hot coalescing site: a partition burst acknowledges many
             // stores at one tick with no intervening schedules.
-            auto ack = [cb = std::move(req.onComplete), now]() { cb(now); };
+            auto ack = [this, token = req.token, now]() {
+                onComplete(token, now);
+            };
             static_assert(EventQueue::Callback::fitsInline<decltype(ack)>(),
                           "store-ack closure must fit the inline buffer");
             eq_.scheduleCoalesced(now, std::move(ack));
@@ -58,7 +61,13 @@ VaultController::enqueue(MemRequest &&req)
     DecodedAddr d = map_.decode(req.addr);
     req.bank = d.bank;
     req.row = static_cast<std::uint32_t>(d.row);
-    queue_.push_back(std::move(req));
+    if (live_ == 0 && issued_ < window_) {
+        // Nothing waits and a window entry is free: the request would be
+        // the queue's only entry, which trySchedule() picks at once.
+        issue(req);
+        return;
+    }
+    queue_.push_back(req);
     ++live_;
     trySchedule();
 }
@@ -105,7 +114,7 @@ VaultController::flushAppendRows(bool final_flush)
         DecodedAddr d = map_.decode(start);
         flush.bank = d.bank;
         flush.row = static_cast<std::uint32_t>(d.row);
-        queue_.push_back(std::move(flush));
+        queue_.push_back(flush);
         ++live_;
         permFlushed_ += row_end - start;
     }
@@ -126,9 +135,9 @@ VaultController::trySchedule()
 {
     // Picked requests leave a tombstone (size == 0) instead of an erase:
     // erasing mid-queue would shift every request behind the pick — an
-    // O(window) move of callback-carrying objects per issue, the dominant
-    // cost of the old deque scheduler. Tombstones pop cheaply once they
-    // reach the head. The pick order is identical either way.
+    // O(window) move per issue, the dominant cost of the old deque
+    // scheduler. Tombstones pop cheaply once they reach the head. The
+    // pick order is identical either way.
     while (issued_ < window_ && live_ > 0) {
         while (head_ < queue_.size() && queue_[head_].size == 0)
             ++head_;
@@ -166,8 +175,8 @@ VaultController::trySchedule()
 
         MemRequest &req = queue_[pick];
         --live_;
-        issue(std::move(req)); // consumes the callback; fields stay valid
-        req.size = 0;          // tombstone
+        issue(req);
+        req.size = 0; // tombstone
         if (pick == head_)
             ++head_;
     }
@@ -179,7 +188,7 @@ VaultController::trySchedule()
 }
 
 void
-VaultController::issue(MemRequest &&req)
+VaultController::issue(const MemRequest &req)
 {
     const auto &geo = map_.geometry();
     ++issued_;
@@ -219,12 +228,10 @@ VaultController::issue(MemRequest &&req)
         remaining -= chunk;
     }
 
-    // NB: the 16-byte-aligned callback is captured first so the closure
-    // packs tightly and stays within the event's inline buffer.
-    auto complete = [cb = std::move(req.onComplete), this, done]() {
+    auto complete = [this, token = req.token, done]() {
         --issued_;
-        if (cb)
-            cb(done);
+        if (token)
+            onComplete(token, done);
         trySchedule();
         if (issued_ == 0 && live_ == 0 && onDrained)
             onDrained();

@@ -32,12 +32,10 @@ namespace mondrian {
 struct MemRequest
 {
     /**
-     * Inline capacity sized for the machine's pointer-sized completion
-     * closure with headroom; larger captures (tests) heap-allocate.
+     * Owner token handed back to the controller's completion sink
+     * (VaultController::onComplete). Null asks for no notification.
      */
-    using Callback = InlineFunction<void(Tick), 40>;
-    static_assert(kInlineFunctionPacked<Callback>,
-                  "padding crept ahead of the completion callback buffer");
+    using Token = void *;
 
     Addr addr = 0;
     std::uint32_t size = 0;
@@ -49,8 +47,7 @@ struct MemRequest
      */
     std::uint32_t bank = 0;
     std::uint32_t row = 0;
-    /** Completion callback, invoked at the tick the data burst finishes. */
-    Callback onComplete;
+    Token token = nullptr;
 };
 
 /** Per-vault statistics snapshot. */
@@ -120,12 +117,24 @@ class VaultController
     bool readyForImmediateIssue() const { return live_ == 0 && issued_ < window_; }
 
     /**
+     * Completion sink, set once by the owner: invoked with a request's
+     * token at the tick its data burst finishes (a permutable store: at
+     * the tick the append engine accepts it). One controller-wide sink
+     * instead of a callable per request keeps the request and the
+     * completion event small and trivially destructible.
+     */
+    using CompletionFn = InlineFunction<void(MemRequest::Token, Tick), 16>;
+    static_assert(kInlineFunctionPacked<CompletionFn>,
+                  "padding crept ahead of the completion sink buffer");
+    CompletionFn onComplete;
+
+    /**
      * Invoked (when set) at the end of a completion event that leaves the
      * controller with no issued or queued requests. Callback-driven phase
      * execution (Machine::beginPhase) uses it to detect quiescence of
-     * traffic that carries no completion callback of its own — the
-     * permutable append engine's row flushes can be the chronologically
-     * last events of a phase.
+     * traffic that carries no token of its own — the permutable append
+     * engine's row flushes can be the chronologically last events of a
+     * phase.
      */
     using DrainFn = InlineFunction<void(), 16>;
     static_assert(kInlineFunctionPacked<DrainFn>,
@@ -134,7 +143,7 @@ class VaultController
 
   private:
     void trySchedule();
-    void issue(MemRequest &&req);
+    void issue(const MemRequest &req);
 
     EventQueue &eq_;
     const AddressMap &map_;
@@ -146,7 +155,9 @@ class VaultController
     /**
      * FR-FCFS queue as a vector ring: entries [head_, size) are the
      * waiting requests in arrival order; picked entries tombstone
-     * (size == 0) in place and pop cheaply once they reach head_.
+     * (size == 0) in place and pop cheaply once they reach head_. Empty
+     * whenever live_ == 0, so a request arriving at an idle queue with a
+     * free window entry issues without passing through it.
      */
     std::vector<MemRequest> queue_;
     std::size_t head_ = 0; ///< index of the oldest entry

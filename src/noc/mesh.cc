@@ -6,19 +6,22 @@
 
 namespace mondrian {
 
-Mesh::Mesh(const MeshConfig &cfg) : cfg_(cfg)
+Mesh::Mesh(const MeshConfig &cfg)
+    : cfg_(cfg), psPerByte_(cfg.psPerByte())
 {
-    injectFree_.assign(cfg_.routers(), Tick{0});
-    ejectFree_.assign(cfg_.routers(), Tick{0});
-    portBusy_.assign(std::size_t{cfg_.routers()} * 2, Tick{0});
-}
-
-unsigned
-Mesh::hops(unsigned src, unsigned dst) const
-{
-    unsigned sx = src % cfg_.width, sy = src / cfg_.width;
-    unsigned dx = dst % cfg_.width, dy = dst / cfg_.width;
-    return (sx > dx ? sx - dx : dx - sx) + (sy > dy ? sy - dy : dy - sy);
+    const unsigned n = cfg_.routers();
+    hops_.resize(std::size_t{n} * n);
+    for (unsigned src = 0; src < n; ++src) {
+        for (unsigned dst = 0; dst < n; ++dst) {
+            unsigned sx = src % cfg_.width, sy = src / cfg_.width;
+            unsigned dx = dst % cfg_.width, dy = dst / cfg_.width;
+            hops_[std::size_t{src} * n + dst] =
+                (sx > dx ? sx - dx : dx - sx) + (sy > dy ? sy - dy : dy - sy);
+        }
+    }
+    injectFree_.assign(n, Tick{0});
+    ejectFree_.assign(n, Tick{0});
+    portBusy_.assign(std::size_t{n} * 2, Tick{0});
 }
 
 Tick
@@ -32,7 +35,7 @@ Mesh::route(unsigned src, unsigned dst, std::uint64_t bytes, Tick start,
     if (src == dst)
         return start; // local delivery: no mesh traversal
 
-    const Tick ser = bytes * cfg_.psPerByte();
+    const Tick ser = bytes * psPerByte_;
     const unsigned n_hops = hops(src, dst);
     stats_.bitHops += bytes * 8 * n_hops;
 

@@ -79,7 +79,11 @@ class Mesh
                bool reserve_inject = true, bool reserve_eject = true);
 
     /** Number of mesh hops between two routers (Manhattan distance). */
-    unsigned hops(unsigned src, unsigned dst) const;
+    unsigned
+    hops(unsigned src, unsigned dst) const
+    {
+        return hops_[std::size_t{src} * cfg_.routers() + dst];
+    }
 
     const MeshConfig &config() const { return cfg_; }
     const MeshStats &stats() const { return stats_; }
@@ -92,6 +96,8 @@ class Mesh
 
   private:
     MeshConfig cfg_;
+    Tick psPerByte_;            ///< cfg_.psPerByte(), hoisted off route()
+    std::vector<unsigned> hops_; ///< routers x routers hop counts
     std::vector<Tick> injectFree_; ///< per-router injection port
     std::vector<Tick> ejectFree_;  ///< per-router ejection port
     std::vector<Tick> portBusy_;   ///< 2*routers: inject busy, eject busy

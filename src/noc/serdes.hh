@@ -34,7 +34,10 @@ struct SerDesConfig
 class SerDesLink
 {
   public:
-    explicit SerDesLink(const SerDesConfig &cfg = {}) : cfg_(cfg) {}
+    explicit SerDesLink(const SerDesConfig &cfg = {})
+        : cfg_(cfg), psPerByte_(cfg.psPerByte())
+    {
+    }
 
     /**
      * Transfer @p bytes entering at @p start.
@@ -43,7 +46,7 @@ class SerDesLink
     Tick
     transfer(std::uint64_t bytes, Tick start)
     {
-        Tick serialization = bytes * cfg_.psPerByte();
+        Tick serialization = bytes * psPerByte_;
         Tick depart = start > free_ ? start : free_;
         free_ = depart + serialization;
         busyBits_ += bytes * 8;
@@ -60,6 +63,7 @@ class SerDesLink
 
   private:
     SerDesConfig cfg_;
+    Tick psPerByte_; ///< cfg_.psPerByte(), hoisted off transfer()
     Tick free_ = 0;
     std::uint64_t busyBits_ = 0;
 };

@@ -59,9 +59,9 @@ class EventQueue
 {
   public:
     /**
-     * Inline capacity covers every simulator hot-path closure (the widest
-     * is a vault completion carrying a MemRequest::Callback, 64 bytes);
-     * larger captures still work but heap-allocate.
+     * Inline capacity covers every simulator hot-path closure (each
+     * schedule site static_asserts fitsInline); larger captures still
+     * work but heap-allocate.
      */
     using Callback = InlineFunction<void(), 64>;
     static_assert(kInlineFunctionPacked<Callback>,

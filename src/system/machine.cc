@@ -165,13 +165,24 @@ Machine::Machine(const SystemConfig &cfg, MemoryPool &pool)
     for (unsigned u = 0; u < cfg_.exec.numUnits; ++u)
         paths_.push_back(std::make_unique<Path>(*this, u));
 
-    // Permutable-append row flushes carry no completion callback; the
-    // vault's drain hook is how the phase logic sees their retirement.
+    // Every flight's request carries the Flight as its token; the one
+    // completion sink per vault routes it back to completeFlight().
+    auto complete = [this](MemRequest::Token token, Tick t) {
+        ++dramCompletions_;
+        completeFlight(static_cast<Flight *>(token), t);
+    };
+    static_assert(
+        VaultController::CompletionFn::fitsInline<decltype(complete)>(),
+        "completion sink closure must fit the inline buffer");
+    // Permutable-append row flushes carry no token; the vault's drain
+    // hook is how the phase logic sees their retirement.
     auto drained = [this]() { checkPhaseQuiesce(); };
     static_assert(VaultController::DrainFn::fitsInline<decltype(drained)>(),
                   "drain hook closure must fit the inline buffer");
-    for (auto &v : vaults_)
+    for (auto &v : vaults_) {
+        v->onComplete = complete;
         v->onDrained = drained;
+    }
 }
 
 Machine::~Machine() = default;
@@ -186,6 +197,7 @@ Machine::Flight *
 Machine::allocFlight()
 {
     ++flightsInAir_;
+    ++dramRequests_;
     if (freeFlight_) {
         Flight *f = freeFlight_;
         freeFlight_ = f->nextFree;
@@ -211,10 +223,7 @@ Machine::deliverFlight(Flight *f)
     req.addr = f->addr;
     req.size = f->size;
     req.isWrite = f->isWrite;
-    auto on_complete = [f](Tick t) { f->m->completeFlight(f, t); };
-    static_assert(MemRequest::Callback::fitsInline<decltype(on_complete)>(),
-                  "hot-path completion closure must fit the inline buffer");
-    req.onComplete = std::move(on_complete);
+    req.token = f;
     vaults_[f->dv]->enqueue(std::move(req));
 }
 
@@ -301,15 +310,12 @@ void
 Machine::asyncDram(Tick when, unsigned src_node, Addr addr,
                    std::uint32_t size, bool is_write)
 {
-    // Fire-and-forget traffic still reserves bandwidth everywhere; for
-    // reads the response payload crosses the network too.
-    if (!is_write) {
-        issueDram(when, src_node, addr, size, false, true,
-                  MemoryPath::DoneFn{});
-        return;
-    }
-    issueDram(when, src_node, addr, size, true, false,
-              MemoryPath::DoneFn{});
+    // Fire-and-forget traffic reserves request-side network bandwidth
+    // (a writeback carries its payload) and vault bandwidth. Nothing
+    // waits for it, so completeFlight() retires it at the vault: no
+    // response crosses the network, even for a prefetch fill.
+    issueDram(when, src_node, addr, size, is_write,
+              /*need_response=*/false, MemoryPath::DoneFn{});
 }
 
 std::uint64_t

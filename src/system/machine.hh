@@ -144,6 +144,15 @@ class Machine
         return inlineFunctionHeapFallbacks() - heapFallbackBase_;
     }
 
+    /**
+     * DRAM requests issued (flights allocated) and vault completion-sink
+     * calls since construction. Diagnostic only, never serialized: once
+     * the event queue drains, every request has completed exactly once
+     * and the two are equal.
+     */
+    std::uint64_t dramRequests() const { return dramRequests_; }
+    std::uint64_t dramCompletions() const { return dramCompletions_; }
+
   private:
     class Path; // per-core MemoryPath implementation
     friend class Path;
@@ -238,6 +247,8 @@ class Machine
 
     /** DRAM requests allocated but not yet recycled (any kind). */
     std::uint64_t flightsInAir_ = 0;
+    std::uint64_t dramRequests_ = 0;
+    std::uint64_t dramCompletions_ = 0;
 
     /** Active-phase bookkeeping (one phase at a time). */
     enum class PhaseStage

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.hh"
 #include "core/cache.hh"
 
@@ -148,9 +151,237 @@ INSTANTIATE_TEST_SUITE_P(
                       WsParam{4 * kKiB, true}, WsParam{16 * kKiB, false},
                       WsParam{64 * kKiB, false}));
 
+namespace {
+
+/**
+ * Reference model: the original single-pass cache (division indexing,
+ * tag match and victim choice in one scan over the set). The optimized
+ * Cache must agree with it access for access.
+ */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheConfig &cfg)
+        : cfg_(cfg),
+          numSets_(cfg.sizeBytes / (std::uint64_t{cfg.lineBytes} *
+                                    cfg.associativity)),
+          ways_(numSets_ * cfg.associativity)
+    {
+    }
+
+    CacheAccessResult
+    access(Addr addr, bool is_write)
+    {
+        stats_.accesses++;
+        CacheAccessResult res;
+        const std::uint64_t line = addr / cfg_.lineBytes;
+        const Probe p = probe(line);
+        if (p.hit) {
+            Way &w = *p.hit;
+            res.hit = true;
+            res.prefetchHit = w.prefetched;
+            if (w.prefetched) {
+                stats_.prefetchHits++;
+                w.prefetched = false;
+                prefetchAhead(line, res);
+            } else {
+                stats_.hits++;
+            }
+            w.dirty |= is_write;
+            w.stamp = ++stamp_;
+            return res;
+        }
+        stats_.misses++;
+        res.writebackAddr = fill(*p.victim, line, is_write, false);
+        prefetchAhead(line, res);
+        return res;
+    }
+
+    std::uint32_t
+    accessRun(Addr addr, std::uint32_t size, std::uint32_t n, bool is_write)
+    {
+        // The contract: the leading plain hits, each one access().
+        std::uint32_t done = 0;
+        for (; done < n; ++done) {
+            const Addr a = addr + Addr{done} * size;
+            const Probe p = probe(a / cfg_.lineBytes);
+            if (!p.hit || p.hit->prefetched)
+                break;
+            access(a, is_write);
+        }
+        return done;
+    }
+
+    bool
+    insertPrefetch(Addr addr)
+    {
+        const std::uint64_t line = addr / cfg_.lineBytes;
+        const Probe p = probe(line);
+        if (p.hit)
+            return false;
+        fill(*p.victim, line, false, true);
+        return true;
+    }
+
+    void
+    flush()
+    {
+        std::fill(ways_.begin(), ways_.end(), Way{});
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        bool prefetched = false;
+        std::uint64_t line = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    struct Probe
+    {
+        Way *hit = nullptr;
+        Way *victim = nullptr;
+    };
+
+    Probe
+    probe(std::uint64_t line)
+    {
+        // First invalid way, else the first least-recently-used one.
+        Way *set = &ways_[(line % numSets_) * cfg_.associativity];
+        Probe p;
+        for (unsigned w = 0; w < cfg_.associativity; ++w) {
+            Way &way = set[w];
+            if (way.valid && way.line == line) {
+                p.hit = &way;
+                return p;
+            }
+            if (p.victim && !p.victim->valid)
+                continue;
+            if (!way.valid || !p.victim || way.stamp < p.victim->stamp)
+                p.victim = &way;
+        }
+        return p;
+    }
+
+    std::optional<Addr>
+    fill(Way &w, std::uint64_t line, bool dirty, bool prefetched)
+    {
+        std::optional<Addr> writeback;
+        if (w.valid && w.dirty) {
+            writeback = w.line * cfg_.lineBytes;
+            stats_.writebacks++;
+        }
+        w = Way{true, dirty, prefetched, line, ++stamp_};
+        return writeback;
+    }
+
+    void
+    prefetchAhead(std::uint64_t line, CacheAccessResult &res)
+    {
+        for (unsigned d = 1; d <= cfg_.prefetchDepth; ++d) {
+            res.prefetchFills.push_back((line + d) * cfg_.lineBytes);
+            stats_.prefetchIssued++;
+        }
+    }
+
+    CacheConfig cfg_;
+    std::uint64_t numSets_;
+    std::vector<Way> ways_;
+    std::uint64_t stamp_ = 0;
+    CacheStats stats_;
+};
+
+void
+expectSameAccess(const CacheAccessResult &got, const CacheAccessResult &want,
+                 std::size_t step)
+{
+    ASSERT_EQ(got.hit, want.hit) << "step " << step;
+    ASSERT_EQ(got.prefetchHit, want.prefetchHit) << "step " << step;
+    ASSERT_EQ(got.writebackAddr, want.writebackAddr) << "step " << step;
+    ASSERT_EQ(std::vector<Addr>(got.prefetchFills.begin(),
+                                got.prefetchFills.end()),
+              std::vector<Addr>(want.prefetchFills.begin(),
+                                want.prefetchFills.end()))
+        << "step " << step;
+}
+
+} // namespace
+
+TEST(Cache, RandomizedMatchesReferenceLru)
+{
+    for (unsigned assoc : {1u, 2u, 4u, 16u}) {
+        SCOPED_TRACE("associativity " + std::to_string(assoc));
+        CacheConfig cfg;
+        cfg.associativity = assoc;
+        cfg.lineBytes = 64;
+        cfg.sizeBytes = std::uint64_t{8} * assoc * cfg.lineBytes; // 8 sets
+        cfg.prefetchDepth = assoc % 4 == 0 ? 2 : 3;
+        Cache cache(cfg);
+        RefCache ref(cfg);
+        // Footprint of 4x the capacity: plenty of conflict evictions,
+        // yet enough reuse for hits, prefetch hits and runs.
+        const std::uint64_t footprint = 4 * cfg.sizeBytes;
+        Random rng(1000 + assoc);
+        for (std::size_t step = 0; step < 20000; ++step) {
+            const std::uint64_t op = rng.nextBounded(100);
+            const Addr addr = rng.nextBounded(footprint);
+            const bool write = rng.nextBounded(3) == 0;
+            if (op < 70) {
+                expectSameAccess(cache.access(addr, write),
+                                 ref.access(addr, write), step);
+            } else if (op < 85) {
+                const auto size =
+                    static_cast<std::uint32_t>(4 << rng.nextBounded(5));
+                const auto n =
+                    static_cast<std::uint32_t>(1 + rng.nextBounded(40));
+                ASSERT_EQ(cache.accessRun(addr, size, n, write),
+                          ref.accessRun(addr, size, n, write))
+                    << "step " << step;
+            } else if (op < 99) {
+                ASSERT_EQ(cache.insertPrefetch(addr),
+                          ref.insertPrefetch(addr))
+                    << "step " << step;
+            } else {
+                cache.flush();
+                ref.flush();
+            }
+        }
+        const CacheStats &got = cache.stats();
+        const CacheStats &want = ref.stats();
+        EXPECT_EQ(got.accesses, want.accesses);
+        EXPECT_EQ(got.hits, want.hits);
+        EXPECT_EQ(got.prefetchHits, want.prefetchHits);
+        EXPECT_EQ(got.misses, want.misses);
+        EXPECT_EQ(got.writebacks, want.writebacks);
+        EXPECT_EQ(got.prefetchIssued, want.prefetchIssued);
+        EXPECT_GT(want.hits, 0u);
+        EXPECT_GT(want.prefetchHits, 0u);
+        EXPECT_GT(want.writebacks, 0u);
+    }
+}
+
 TEST(CacheDeath, BadGeometryFatal)
 {
     CacheConfig cfg;
     cfg.sizeBytes = 1000; // not a multiple of line*assoc
     EXPECT_DEATH({ Cache c(cfg); }, "multiple");
+}
+
+TEST(CacheDeath, NonPowerOfTwoGeometryFatal)
+{
+    CacheConfig sets;
+    sets.sizeBytes = 3 * kKiB; // 24 sets of 2 x 64 B
+    sets.associativity = 2;
+    sets.lineBytes = 64;
+    EXPECT_DEATH({ Cache c(sets); }, "powers of two");
+
+    CacheConfig line;
+    line.sizeBytes = 96 * 16; // 16 sets of one 96 B line
+    line.associativity = 1;
+    line.lineBytes = 96;
+    EXPECT_DEATH({ Cache c(line); }, "powers of two");
 }

@@ -10,7 +10,9 @@
 
 #include "engine/ops.hh"
 #include "engine/workload.hh"
+#include "system/campaign.hh"
 #include "system/machine.hh"
+#include "system/runner.hh"
 
 using namespace mondrian;
 
@@ -172,4 +174,33 @@ TEST(Machine, ScanSaturatesMondrianVaults)
     // Streaming scan should push each vault well past half its peak
     // bandwidth (the paper reports 6.7 of 8 GB/s).
     EXPECT_GT(phases[0].avgVaultBWGBps, 4.0);
+}
+
+TEST(MachineConservation, SmokeAndPaperGridsCompleteEveryRequestOnce)
+{
+    // Replays every smoke and paper grid point at 2^12 the way Runner
+    // does, then drains the queue (the last phase leaves its disarm
+    // flushes pending) and checks the request-level books.
+    CampaignGrid smoke = smokeGrid();
+    smoke.log2Tuples = {12};
+    for (const CampaignGrid &grid : {smoke, paperGrid(12)}) {
+        for (const CampaignJob &job : expandGrid(grid)) {
+            SCOPED_TRACE(std::string(systemKindName(job.system)) + " " +
+                         job.scenario.name);
+            const SystemConfig sys = job.systemConfig();
+            MemoryPool pool(sys.geo);
+            PreparedScenario ps =
+                prepareScenario(pool, job.workload(), sys, job.scenario);
+            Machine m(sys, pool);
+            for (const OperatorExecution &exec : ps.execs)
+                m.run(exec);
+            m.eq().run();
+
+            EXPECT_GT(m.dramRequests(), 0u);
+            EXPECT_EQ(m.dramCompletions(), m.dramRequests());
+            EXPECT_EQ(m.heapFallbacks(), 0u);
+            for (unsigned v = 0; v < m.numVaults(); ++v)
+                EXPECT_EQ(m.vault(v).outstanding(), 0u) << "vault " << v;
+        }
+    }
 }
