@@ -207,10 +207,11 @@ echo "OK: served traffic deterministic; degenerate traffic is byte-identical"
 
 # --- Distributed chaos oracle ---------------------------------------------
 # The worker-sharded coordinator (--workers N) must honor the same
-# contract even while workers are crashing, hanging and corrupting
-# results mid-campaign: faults hit the first attempt of a job, the
-# retry/reassignment machinery recovers, and the merged report is
-# byte-identical to the in-process run (docs/distributed.md).
+# contract even while workers are crashing, hanging, corrupting
+# results and dropping their channel mid-campaign: faults hit the first
+# attempt of a job, the retry/reassignment machinery recovers, and the
+# merged report is byte-identical to the in-process run
+# (docs/distributed.md).
 CHAOS=(--systems cpu,mondrian --ops scan,sort,groupby,join
        --log2-tuples 10 --quiet)
 
@@ -219,7 +220,7 @@ echo "== chaos grid, in-process (--jobs 4)"
 
 echo "== chaos grid, distributed (--workers 4) with injected faults"
 "$CAMPAIGN_BIN" "${CHAOS[@]}" --workers 4 --heartbeat-timeout 1 \
-    --fault-inject crash@0,hang@3,corrupt@5 \
+    --fault-inject crash@0,hang@3,corrupt@5,disconnect@6 \
     --out "$workdir/chaos_workers.json"
 
 if ! cmp "$workdir/chaos_inproc.json" "$workdir/chaos_workers.json"; then

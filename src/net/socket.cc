@@ -120,8 +120,9 @@ Socket::listen(const Endpoint &ep, std::string &error)
 
     int last_errno = 0;
     for (addrinfo *ai = addrs.head; ai; ai = ai->ai_next) {
-        const int fd =
-            ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+        const int fd = ::socket(ai->ai_family,
+                                ai->ai_socktype | SOCK_CLOEXEC,
+                                ai->ai_protocol);
         if (fd < 0) {
             last_errno = errno;
             continue;
@@ -148,8 +149,9 @@ Socket::connect(const Endpoint &ep, std::string &error)
 
     int last_errno = 0;
     for (addrinfo *ai = addrs.head; ai; ai = ai->ai_next) {
-        const int fd =
-            ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+        const int fd = ::socket(ai->ai_family,
+                                ai->ai_socktype | SOCK_CLOEXEC,
+                                ai->ai_protocol);
         if (fd < 0) {
             last_errno = errno;
             continue;
@@ -175,7 +177,7 @@ Socket::accept(std::string &error) const
 {
     error.clear();
     for (;;) {
-        const int fd = ::accept(fd_, nullptr, nullptr);
+        const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd >= 0) {
             setNoDelay(fd);
             return Socket(fd);

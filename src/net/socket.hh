@@ -1,10 +1,10 @@
 /**
  * @file
- * Small non-blocking TCP socket layer for distributed campaigns.
+ * Small non-blocking socket layer for distributed campaigns.
  *
  * The coordinator's event loop is a single-threaded poll() reactor; this
  * layer gives it exactly what it needs and nothing more: an RAII fd
- * wrapper, listen/connect/accept, and read/write primitives with the
+ * wrapper, TCP listen/connect/accept, and read/write primitives with the
  * EINTR and partial-transfer handling done once instead of at every call
  * site. No frames, no protocol — that is src/net/transport.hh's job.
  *
@@ -44,11 +44,14 @@ bool parseEndpoint(const std::string &spec, Endpoint &out,
                    std::string &error);
 
 /**
- * Move-only RAII wrapper of one TCP socket fd.
+ * Move-only RAII wrapper of one stream socket fd: a TCP socket or one
+ * end of a Unix socketpair (a local worker's channel).
  *
  * All factory functions report failure by returning an invalid Socket
  * with @p error set (never by throwing — the callers are event loops
  * and CLI front ends that map failures to requeue paths or exit codes).
+ * Their sockets are close-on-exec, so spawned local workers do not
+ * inherit the listener or another worker's connection.
  */
 class Socket
 {

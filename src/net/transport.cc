@@ -2,7 +2,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <array>
 #include <cerrno>
@@ -114,145 +113,8 @@ decodeFrame(std::string &buf, std::string &payload, bool with_crc)
     return 1;
 }
 
-int
-decodeLine(std::string &buf, std::string &payload)
-{
-    for (;;) {
-        const std::size_t nl = buf.find('\n');
-        if (nl == std::string::npos)
-            return 0;
-        std::string line = buf.substr(0, nl);
-        buf.erase(0, nl + 1);
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue; // blank keep-alive noise, as std::getline skipped
-        payload = std::move(line);
-        return 1;
-    }
-}
-
-namespace {
-
-/** Shared read-into-buffer step for both transports. */
-Transport::Pump
-pumpFd(int fd, std::string &buf)
-{
-    bool got_data = false;
-    char chunk[65536];
-    for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n > 0) {
-            buf.append(chunk, static_cast<std::size_t>(n));
-            got_data = true;
-            // The fd may be in blocking mode (a worker's stdin or
-            // socket): keep reading only while bytes are already
-            // waiting, never block a second time inside one pump —
-            // the caller must get a chance to decode what arrived.
-            struct pollfd pfd;
-            pfd.fd = fd;
-            pfd.events = POLLIN;
-            pfd.revents = 0;
-            if (::poll(&pfd, 1, 0) <= 0 ||
-                !(pfd.revents & (POLLIN | POLLHUP)))
-                return Transport::Pump::kData;
-            continue;
-        }
-        if (n == 0)
-            return got_data ? Transport::Pump::kData : Transport::Pump::kEof;
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return got_data ? Transport::Pump::kData : Transport::Pump::kIdle;
-        return got_data ? Transport::Pump::kData : Transport::Pump::kError;
-    }
-}
-
 bool
-writeAllFd(int fd, const std::string &data)
-{
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-} // namespace
-
-// ----------------------------------------------------------- PipeTransport
-
-PipeTransport::PipeTransport(Role role, int read_fd, int write_fd,
-                             bool own_fds)
-    : role_(role), read_fd_(read_fd), write_fd_(write_fd), own_fds_(own_fds)
-{}
-
-PipeTransport::~PipeTransport()
-{
-    close();
-}
-
-bool
-PipeTransport::send(const std::string &payload)
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (write_fd_ < 0)
-        return false;
-    // Coordinator commands are newline-delimited JSON; worker replies
-    // are length-prefixed frames — the exact PR 7 pipe protocol.
-    const std::string wire = role_ == Role::kCoordinator
-                                 ? payload + "\n"
-                                 : encodeFrame(payload, false);
-    return writeAllFd(write_fd_, wire);
-}
-
-Transport::Pump
-PipeTransport::pump()
-{
-    if (read_fd_ < 0)
-        return Pump::kEof;
-    return pumpFd(read_fd_, buf_);
-}
-
-int
-PipeTransport::next(std::string &payload)
-{
-    return role_ == Role::kCoordinator ? decodeFrame(buf_, payload, false)
-                                       : decodeLine(buf_, payload);
-}
-
-void
-PipeTransport::shutdownSend()
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (write_fd_ >= 0) {
-        if (own_fds_ && write_fd_ != read_fd_)
-            ::close(write_fd_);
-        write_fd_ = -1;
-    }
-}
-
-void
-PipeTransport::close()
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (own_fds_) {
-        if (read_fd_ >= 0)
-            ::close(read_fd_);
-        if (write_fd_ >= 0 && write_fd_ != read_fd_)
-            ::close(write_fd_);
-    }
-    read_fd_ = write_fd_ = -1;
-}
-
-// ------------------------------------------------------------ TcpTransport
-
-bool
-TcpTransport::send(const std::string &payload)
+Transport::send(const std::string &payload)
 {
     std::lock_guard<std::mutex> lock(send_mutex_);
     if (!socket_.valid())
@@ -262,21 +124,56 @@ TcpTransport::send(const std::string &payload)
 }
 
 Transport::Pump
-TcpTransport::pump()
+Transport::pump()
 {
     if (!socket_.valid())
         return Pump::kEof;
-    return pumpFd(socket_.fd(), buf_);
+    bool got_data = false;
+    char chunk[65536];
+    for (;;) {
+        const ssize_t n = socket_.readSome(chunk, sizeof(chunk));
+        if (n > 0) {
+            buf_.append(chunk, static_cast<std::size_t>(n));
+            got_data = true;
+            // The socket may be in blocking mode (a worker's): keep
+            // reading only while bytes are already waiting, never block
+            // a second time inside one pump — the caller must get a
+            // chance to decode what arrived.
+            pollfd pfd{socket_.fd(), POLLIN, 0};
+            if (::poll(&pfd, 1, 0) <= 0 ||
+                !(pfd.revents & (POLLIN | POLLHUP)))
+                return Pump::kData;
+            continue;
+        }
+        if (n == 0)
+            return got_data ? Pump::kData : Pump::kEof;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return got_data ? Pump::kData : Pump::kIdle;
+        return got_data ? Pump::kData : Pump::kError;
+    }
 }
 
 int
-TcpTransport::next(std::string &payload)
+Transport::next(std::string &payload)
 {
     return decodeFrame(buf_, payload, true);
 }
 
+bool
+Transport::await(std::string &payload)
+{
+    for (;;) {
+        const int st = next(payload);
+        if (st != 0)
+            return st > 0;
+        const Pump p = pump();
+        if (p == Pump::kEof || p == Pump::kError)
+            return false;
+    }
+}
+
 void
-TcpTransport::shutdownSend()
+Transport::shutdownSend()
 {
     std::lock_guard<std::mutex> lock(send_mutex_);
     if (socket_.valid())
@@ -284,7 +181,7 @@ TcpTransport::shutdownSend()
 }
 
 void
-TcpTransport::close()
+Transport::close()
 {
     // Serialized against send(): the worker's heartbeat thread may be
     // mid-write when the job loop tears the channel down.

@@ -1,28 +1,20 @@
 /**
  * @file
  * Transport: the message channel between a campaign coordinator and one
- * worker, abstracted over pipes and TCP.
+ * worker.
  *
- * PR 7's wire protocol was designed transport-agnostic: JSON command
- * messages flow coordinator -> worker, framed payloads flow back. This
- * file is where that abstraction becomes real. Two implementations:
- *
- *  - PipeTransport — the original subprocess transport, extracted from
- *    coordinator.cc behavior-preservingly: commands are newline-delimited
- *    compact JSON on the worker's stdin, replies are length-prefixed
- *    frames ("<decimal length>\n<payload>\n") on its stdout.
- *
- *  - TcpTransport — one socket, the SAME protocol messages, but BOTH
- *    directions carry CRC-framed payloads:
- *    "<decimal length> <8-hex crc32>\n<payload>\n". The CRC means a bit
- *    flip on the wire is detected at the transport layer (next() returns
- *    a desync, which maps to the coordinator's kill/requeue path) instead
- *    of surfacing as a JSON parse error deep in result handling.
+ * Every worker talks to its coordinator over one stream socket: a local
+ * `--workers` subprocess over its end of a Unix socketpair (on its fd
+ * 0), a remote `--worker-connect` worker over TCP. Both directions of
+ * both kinds carry the same CRC-framed payloads:
+ * "<decimal length> <8-hex crc32>\n<payload>\n". The CRC means a bit
+ * flip on the wire is detected at the transport layer (next() returns a
+ * desync, which maps to the coordinator's kill/requeue path) instead of
+ * surfacing as a JSON parse error deep in result handling.
  *
  * Threading: send() is serialized by an internal mutex — the worker's
- * dedicated heartbeat thread writes concurrently with the job loop (the
- * same contract FrameSender provided on stdout). pump()/next() are
- * single-consumer: only the owning event loop reads.
+ * dedicated heartbeat thread writes concurrently with the job loop.
+ * pump()/next() are single-consumer: only the owning event loop reads.
  */
 
 #ifndef MONDRIAN_NET_TRANSPORT_HH
@@ -30,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -42,9 +33,10 @@ namespace mondrian {
 std::uint32_t crc32(const void *data, std::size_t size);
 
 /**
- * Encode one payload as a transport frame:
- * without CRC, "<decimal length>\n<payload>\n" (the pipe format);
- * with CRC, "<decimal length> <8-hex crc32>\n<payload>\n" (TCP).
+ * Encode one payload as a frame:
+ * with CRC, "<decimal length> <8-hex crc32>\n<payload>\n" (the channel
+ * format); without CRC, "<decimal length>\n<payload>\n" (kept for the
+ * codec-cost comparison in the benchmark driver).
  */
 std::string encodeFrame(const std::string &payload, bool with_crc);
 
@@ -57,28 +49,10 @@ std::string encodeFrame(const std::string &payload, bool with_crc);
  */
 int decodeFrame(std::string &buf, std::string &payload, bool with_crc);
 
-/**
- * Extract the next newline-delimited message from @p buf (the pipe
- * command channel), consuming it; blank lines are skipped.
- * @return 1 on a message, 0 when more bytes are needed.
- */
-int decodeLine(std::string &buf, std::string &payload);
-
-/**
- * Bidirectional message channel between a coordinator and one worker.
- * The role decides the encoding each direction uses on asymmetric
- * transports (pipes): a coordinator sends commands and receives frames,
- * a worker the reverse.
- */
+/** One coordinator-worker channel: CRC frames over one socket. */
 class Transport
 {
   public:
-    enum class Role
-    {
-        kCoordinator,
-        kWorker
-    };
-
     /** pump() outcome. */
     enum class Pump
     {
@@ -88,18 +62,18 @@ class Transport
         kError ///< read error: channel dead
     };
 
-    virtual ~Transport() = default;
+    explicit Transport(Socket socket) : socket_(std::move(socket)) {}
 
     /**
      * Send one protocol message (thread-safe).
      * @return false when the peer is gone or the write fails.
      */
-    virtual bool send(const std::string &payload) = 0;
+    bool send(const std::string &payload);
 
-    /** Read available bytes from the fd into the reassembly buffer.
-     *  Blocking fds block until data/EOF; non-blocking fds drain until
-     *  EAGAIN and report kIdle when nothing was pending. */
-    virtual Pump pump() = 0;
+    /** Read available bytes from the socket into the reassembly buffer.
+     *  A blocking socket blocks until data/EOF; a non-blocking one
+     *  drains until EAGAIN and reports kIdle when nothing was pending. */
+    Pump pump();
 
     /**
      * Extract the next complete inbound message from the reassembly
@@ -107,73 +81,29 @@ class Transport
      * bytes are needed (pump() again), -1 on a framing violation or CRC
      * mismatch (drop the channel).
      */
-    virtual int next(std::string &payload) = 0;
-
-    /** poll()able fd of the receive side. */
-    virtual int fd() const = 0;
+    int next(std::string &payload);
 
     /**
-     * Half-close the send direction only (idempotent): the peer sees
-     * EOF on its read side while our receive side stays open. This is
-     * how the coordinator's shutdown works — after the exit message the
-     * command channel closes, but the reply channel stays readable
-     * until the worker is reaped.
+     * Block until one complete message arrives (pump() + next() on a
+     * blocking socket). @return false on EOF, a read error or a framing
+     * violation — to a worker all three mean "the coordinator is gone".
      */
-    virtual void shutdownSend() = 0;
+    bool await(std::string &payload);
+
+    /** poll()able fd of the socket. */
+    int fd() const { return socket_.fd(); }
+
+    /**
+     * Half-close the send direction only: the peer sees EOF on its read
+     * side while our receive side stays open. This is how the
+     * coordinator's shutdown works — after the exit message the command
+     * direction closes, but replies stay readable until the worker is
+     * reaped.
+     */
+    void shutdownSend();
 
     /** Close both directions (idempotent). */
-    virtual void close() = 0;
-
-    virtual bool closed() const = 0;
-
-    /** "pipe" or "tcp" — for log lines and the --dry-run listing. */
-    virtual const char *kind() const = 0;
-};
-
-/**
- * The stdin/stdout subprocess transport (see file header). Owns neither,
- * either, or both fds depending on @p own_fds — the worker side wraps
- * fds 0 and 1 without owning them; the coordinator side owns its pipe
- * ends.
- */
-class PipeTransport : public Transport
-{
-  public:
-    PipeTransport(Role role, int read_fd, int write_fd, bool own_fds);
-    ~PipeTransport() override;
-
-    bool send(const std::string &payload) override;
-    Pump pump() override;
-    int next(std::string &payload) override;
-    int fd() const override { return read_fd_; }
-    void shutdownSend() override;
-    void close() override;
-    bool closed() const override { return read_fd_ < 0 && write_fd_ < 0; }
-    const char *kind() const override { return "pipe"; }
-
-  private:
-    Role role_;
-    int read_fd_;
-    int write_fd_;
-    bool own_fds_;
-    std::string buf_;
-    std::mutex send_mutex_;
-};
-
-/** The TCP transport: one socket, CRC frames both ways (see header). */
-class TcpTransport : public Transport
-{
-  public:
-    explicit TcpTransport(Socket socket) : socket_(std::move(socket)) {}
-
-    bool send(const std::string &payload) override;
-    Pump pump() override;
-    int next(std::string &payload) override;
-    int fd() const override { return socket_.fd(); }
-    void shutdownSend() override;
-    void close() override;
-    bool closed() const override { return !socket_.valid(); }
-    const char *kind() const override { return "tcp"; }
+    void close();
 
   private:
     Socket socket_;

@@ -156,12 +156,13 @@ class InlineFunction<R(Args...), InlineBytes>
 
   private:
     /**
-     * Per-callable-type vtable (invoke / relocate / destroy). The
-     * relocate and destroy slots are null when the stored callable is
-     * trivially copyable / trivially destructible: the common simulator
-     * capture (a couple of pointers and PODs) then moves with one
-     * inline memcpy and destructs for free, with no indirect call on
-     * either path.
+     * Per-callable-type vtable (invoke / relocate / destroy). Inline
+     * targets always get relocateInline, so every inline move is one
+     * indirect call; only heap targets leave relocate null (the buffer
+     * memcpy moves their owning pointer). The destroy slot is null when
+     * the stored callable is trivially destructible, which makes the
+     * common simulator capture (a couple of pointers and PODs) destruct
+     * for free.
      */
     struct Ops
     {

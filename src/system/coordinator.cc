@@ -3,12 +3,15 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -142,22 +145,6 @@ monotonicSeconds()
         .count();
 }
 
-bool
-writeAll(int fd, const std::string &data)
-{
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
 std::string
 selfExecutable()
 {
@@ -182,27 +169,6 @@ pickFault(std::vector<FaultInjection> &faults, std::vector<bool> &fired,
         }
     }
     return nullptr;
-}
-
-/**
- * Block until one complete protocol message arrives on @p t.
- * @return false when the channel hit EOF, a read error, or a framing
- * violation — from a worker's point of view all three mean "the
- * coordinator is gone", and reconnect-or-exit is the caller's call.
- */
-bool
-awaitMessage(Transport &t, std::string &payload)
-{
-    for (;;) {
-        const int st = t.next(payload);
-        if (st > 0)
-            return true;
-        if (st < 0)
-            return false;
-        const Transport::Pump p = t.pump();
-        if (p == Transport::Pump::kEof || p == Transport::Pump::kError)
-            return false;
-    }
 }
 
 } // namespace
@@ -380,7 +346,7 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
     ServeStatus status = ServeStatus::kEof;
     std::string payload;
     for (;;) {
-        if (!awaitMessage(t, payload)) {
+        if (!t.await(payload)) {
             status = ServeStatus::kEof;
             break;
         }
@@ -514,55 +480,123 @@ loadEnvFaults(std::vector<FaultInjection> &out)
     return true;
 }
 
-} // namespace
+/**
+ * Range of beat periods a worker accepts from the spec message; a
+ * coordinator sends min(1, max(0.02, heartbeat timeout / 4)) seconds.
+ */
+constexpr double kMinHeartbeatIntervalSec = 0.01;
+constexpr double kMaxHeartbeatIntervalSec = 60.0;
 
-int
-runCampaignWorker(const std::string &spec_path,
-                  double heartbeat_interval_sec,
-                  const std::string &cache_dir)
+/** How joinCoordinator() ended. */
+enum class JoinStatus
 {
-    // Writes to a dead coordinator must fail with EPIPE, not a signal.
-    ::signal(SIGPIPE, SIG_IGN);
+    kJoined,  ///< handshake complete: serve jobs
+    kDropped, ///< the channel failed mid-handshake (worth a redial)
+    kRefused  ///< rejected, or a bad spec or beat period (final)
+};
 
-    std::ifstream in(spec_path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "worker: cannot open spec '%s'\n",
-                     spec_path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-
-    CampaignGrid grid;
-    std::string error;
-    if (!parseCampaignSpec(ss.str(), grid, error) ||
-        !validateGrid(grid, error)) {
-        std::fprintf(stderr, "worker: bad spec '%s': %s\n",
-                     spec_path.c_str(), error.c_str());
-        return 2;
-    }
-    const std::vector<CampaignJob> jobs = expandGrid(grid);
-
-    std::vector<FaultInjection> env_faults;
-    if (!loadEnvFaults(env_faults))
-        return 2;
-    std::vector<bool> env_fired(env_faults.size(), false);
-
-    PipeTransport t(Transport::Role::kWorker, STDIN_FILENO, STDOUT_FILENO,
-                    false);
+/**
+ * The worker side of the one handshake every worker goes through,
+ * local or remote: hello(pid, token) -> spec(spec, heartbeat_interval)
+ * -> ready(jobs). On kJoined, @p jobs is the expanded grid and
+ * @p heartbeat_sec the validated beat period; otherwise @p why names
+ * the failure.
+ */
+JoinStatus
+joinCoordinator(Transport &t, const std::string &token,
+                std::vector<CampaignJob> &jobs, double &heartbeat_sec,
+                std::string &why)
+{
     {
         JsonWriter w;
         w.beginObject();
         w.member("type", "hello");
         w.member("pid", std::uint64_t(::getpid()));
-        w.member("jobs", std::uint64_t{jobs.size()});
+        w.member("token", token);
         w.endObject();
-        t.send(JsonWriter::compact(w.str()));
+        if (!t.send(JsonWriter::compact(w.str()))) {
+            why = "connection dropped during hello";
+            return JoinStatus::kDropped;
+        }
     }
 
+    std::string payload;
+    if (!t.await(payload)) {
+        why = "connection dropped before the campaign spec arrived";
+        return JoinStatus::kDropped;
+    }
+    JsonValue msg;
+    std::string error;
+    if (!parseJson(payload, msg, error)) {
+        why = "bad handshake message: " + error;
+        return JoinStatus::kRefused;
+    }
+    const JsonValue *type = msg.find("type");
+    const std::string kind = type ? type->asString() : "";
+    if (kind == "reject") {
+        const JsonValue *reason = msg.find("reason");
+        why = "coordinator rejected us: " +
+              (reason ? reason->asString() : "no reason given");
+        return JoinStatus::kRefused; // a retry would be rejected too
+    }
+    if (kind != "spec") {
+        why = "expected a spec message, got '" + kind + "'";
+        return JoinStatus::kRefused;
+    }
+    const JsonValue *spec_text = msg.find("spec");
+    CampaignGrid grid;
+    if (!spec_text || !spec_text->isString() ||
+        !parseCampaignSpec(spec_text->asString(), grid, error) ||
+        !validateGrid(grid, error)) {
+        why = "bad campaign spec over the wire: " + error;
+        return JoinStatus::kRefused;
+    }
+    // The beat period feeds a timed wait: zero, negative or non-finite
+    // would spin the heartbeat thread and flood the channel, a huge
+    // value would overflow the clock arithmetic.
+    const JsonValue *hb = msg.find("heartbeat_interval");
+    const double beat = hb && hb->isNumber() ? hb->asDouble() : 0.0;
+    if (!std::isfinite(beat) || beat <= 0.0) {
+        why = "bad heartbeat_interval in the spec message";
+        return JoinStatus::kRefused;
+    }
+    heartbeat_sec = std::clamp(beat, kMinHeartbeatIntervalSec,
+                               kMaxHeartbeatIntervalSec);
+    jobs = expandGrid(grid);
+
+    JsonWriter w;
+    w.beginObject();
+    w.member("type", "ready");
+    w.member("jobs", std::uint64_t{jobs.size()});
+    w.endObject();
+    if (!t.send(JsonWriter::compact(w.str()))) {
+        why = "connection dropped during the ready reply";
+        return JoinStatus::kDropped;
+    }
+    return JoinStatus::kJoined;
+}
+
+} // namespace
+
+int
+runCampaignWorker(const std::string &cache_dir)
+{
+    std::vector<FaultInjection> env_faults;
+    if (!loadEnvFaults(env_faults))
+        return 2;
+    std::vector<bool> env_fired(env_faults.size(), false);
+
+    // The coordinator hands us our end of a socketpair on fd 0.
+    Transport t{Socket(STDIN_FILENO)};
+    std::vector<CampaignJob> jobs;
     ServeContext ctx;
+    std::string why;
+    if (joinCoordinator(t, "", jobs, ctx.heartbeatIntervalSec, why) !=
+        JoinStatus::kJoined) {
+        std::fprintf(stderr, "worker: %s\n", why.c_str());
+        return kExitNetwork;
+    }
     ctx.jobs = &jobs;
-    ctx.heartbeatIntervalSec = heartbeat_interval_sec;
     ctx.cacheDir = cache_dir;
     ctx.envFaults = &env_faults;
     ctx.envFired = &env_fired;
@@ -574,8 +608,6 @@ int
 runConnectWorker(const std::string &endpoint_spec,
                  const ConnectWorkerOptions &options)
 {
-    ::signal(SIGPIPE, SIG_IGN);
-
     Endpoint ep;
     std::string error;
     if (!parseEndpoint(endpoint_spec, ep, error)) {
@@ -614,83 +646,25 @@ runConnectWorker(const std::string &endpoint_spec,
                 return kExitNetwork;
             continue;
         }
-        TcpTransport t(std::move(conn));
-
-        // ---- handshake: hello(token) -> spec -> ready(job count)
-        {
-            JsonWriter w;
-            w.beginObject();
-            w.member("type", "hello");
-            w.member("pid", std::uint64_t(::getpid()));
-            w.member("token", options.helloToken);
-            w.endObject();
-            if (!t.send(JsonWriter::compact(w.str()))) {
-                if (!fail_retry("connection dropped during hello"))
-                    return kExitNetwork;
-                continue;
-            }
+        Transport t(std::move(conn));
+        ServeContext ctx;
+        std::string why;
+        const JoinStatus joined = joinCoordinator(
+            t, options.helloToken, jobs, ctx.heartbeatIntervalSec, why);
+        if (joined == JoinStatus::kRefused) {
+            std::fprintf(stderr, "worker: %s\n", why.c_str());
+            return kExitNetwork;
         }
-
-        std::string payload;
-        if (!awaitMessage(t, payload)) {
-            if (!fail_retry("connection dropped before the campaign spec "
-                            "arrived"))
+        if (joined == JoinStatus::kDropped) {
+            if (!fail_retry(why))
                 return kExitNetwork;
             continue;
-        }
-        JsonValue msg;
-        if (!parseJson(payload, msg, error)) {
-            std::fprintf(stderr, "worker: bad handshake message: %s\n",
-                         error.c_str());
-            return kExitNetwork;
-        }
-        const JsonValue *type = msg.find("type");
-        const std::string kind = type ? type->asString() : "";
-        if (kind == "reject") {
-            const JsonValue *reason = msg.find("reason");
-            std::fprintf(stderr, "worker: coordinator rejected us: %s\n",
-                         reason ? reason->asString().c_str()
-                                : "no reason given");
-            return kExitNetwork; // final: a retry would be rejected too
-        }
-        if (kind != "spec") {
-            std::fprintf(stderr, "worker: expected a spec message, got "
-                         "'%s'\n", kind.c_str());
-            return kExitNetwork;
-        }
-        const JsonValue *spec_text = msg.find("spec");
-        const JsonValue *hb = msg.find("heartbeat_interval");
-        CampaignGrid grid;
-        if (!spec_text || !spec_text->isString() ||
-            !parseCampaignSpec(spec_text->asString(), grid, error) ||
-            !validateGrid(grid, error)) {
-            std::fprintf(stderr, "worker: bad campaign spec over the "
-                         "wire: %s\n", error.c_str());
-            return kExitNetwork;
-        }
-        jobs = expandGrid(grid);
-
-        {
-            JsonWriter w;
-            w.beginObject();
-            w.member("type", "ready");
-            w.member("jobs", std::uint64_t{jobs.size()});
-            w.endObject();
-            if (!t.send(JsonWriter::compact(w.str()))) {
-                if (!fail_retry("connection dropped during the ready "
-                                "reply"))
-                    return kExitNetwork;
-                continue;
-            }
         }
         std::fprintf(stderr, "worker: joined %s (%zu jobs in the grid)\n",
                      ep.name().c_str(), jobs.size());
         failures = 0;
 
-        ServeContext ctx;
         ctx.jobs = &jobs;
-        ctx.heartbeatIntervalSec =
-            hb && hb->isNumber() ? hb->asDouble() : 1.0;
         ctx.cacheDir = options.cacheDir;
         ctx.envFaults = &env_faults;
         ctx.envFired = &env_fired;
@@ -698,10 +672,10 @@ runConnectWorker(const std::string &endpoint_spec,
         t.close();
         if (st == ServeStatus::kExit)
             return 0; // orderly campaign end
-        const char *why = st == ServeStatus::kDisconnectFault
-                              ? "injected disconnect fault"
-                              : "connection to the coordinator lost";
-        if (!fail_retry(why))
+        const char *why_lost = st == ServeStatus::kDisconnectFault
+                                   ? "injected disconnect fault"
+                                   : "connection to the coordinator lost";
+        if (!fail_retry(why_lost))
             return kExitNetwork;
     }
 }
@@ -710,8 +684,8 @@ runConnectWorker(const std::string &endpoint_spec,
 
 namespace {
 
-/** One worker channel — a local subprocess over pipes or a remote TCP
- *  connection; the event loop treats them uniformly via Transport. */
+/** One worker channel — a local subprocess over a socketpair or a
+ *  remote TCP connection; the event loop treats them uniformly. */
 struct WorkerChan
 {
     unsigned id = 0;
@@ -720,41 +694,11 @@ struct WorkerChan
     bool remote = false;
     bool alive = false;
     bool hello = false;
-    /** Assignable: local workers from spawn, remote workers only after
-     *  the hello/spec/ready handshake completed. */
+    /** Assignable: the hello/spec/ready handshake completed. */
     bool ready = false;
     double lastSeen = 0.0;
     double jobStart = 0.0;
     std::ptrdiff_t job = -1; ///< assigned grid index, -1 when idle
-};
-
-/** Temp file that unlinks itself. */
-struct SpecFile
-{
-    std::string path;
-
-    ~SpecFile()
-    {
-        if (!path.empty())
-            ::unlink(path.c_str());
-    }
-
-    bool
-    create(const std::string &text, std::string &error)
-    {
-        char tmpl[] = "/tmp/mondrian-campaign-XXXXXX";
-        const int fd = ::mkstemp(tmpl);
-        if (fd < 0) {
-            error = std::string("mkstemp: ") + std::strerror(errno);
-            return false;
-        }
-        path = tmpl;
-        const bool ok = writeAll(fd, text);
-        ::close(fd);
-        if (!ok)
-            error = "cannot write job spec " + path;
-        return ok;
-    }
 };
 
 } // namespace
@@ -834,30 +778,24 @@ CampaignCoordinator::run()
     }
 
     // --------------------------------------------------- spawn machinery
-    const std::string spec_json = campaignSpecJson(grid_);
-    std::string spec_error;
-    SpecFile spec;
-    if (!spec.create(spec_json, spec_error))
-        throw std::runtime_error(spec_error);
-
-    std::vector<std::string> argv_prefix = config_.workerCommand;
-    if (argv_prefix.empty())
-        argv_prefix = {selfExecutable()};
-    const double hb_interval =
-        std::min(1.0, std::max(0.02, config_.heartbeatTimeoutSec / 4.0));
-    std::vector<std::string> argv_tail = {
-        "--worker", spec.path, "--heartbeat-interval",
-        JsonWriter::doubleString(hb_interval)};
+    std::vector<std::string> argv = config_.workerCommand;
+    if (argv.empty())
+        argv = {selfExecutable()};
+    argv.push_back("--worker");
     if (!config_.workerCacheDir.empty()) {
-        argv_tail.push_back("--worker-cache");
-        argv_tail.push_back(config_.workerCacheDir);
+        argv.push_back("--worker-cache");
+        argv.push_back(config_.workerCacheDir);
     }
-
-    // A write to a freshly dead worker must fail with EPIPE, not kill
-    // the coordinator.
-    struct sigaction ignore_pipe{}, old_pipe{};
-    ignore_pipe.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
+    // The handshake's spec message, the same for every worker.
+    JsonWriter spec_writer;
+    spec_writer.beginObject();
+    spec_writer.member("type", "spec");
+    spec_writer.member("spec", campaignSpecJson(grid_));
+    spec_writer.member(
+        "heartbeat_interval",
+        std::min(1.0, std::max(0.02, config_.heartbeatTimeoutSec / 4.0)));
+    spec_writer.endObject();
+    const std::string spec_msg = JsonWriter::compact(spec_writer.str());
 
     std::vector<WorkerChan> workers;
     unsigned next_worker_id = 0;
@@ -867,53 +805,42 @@ CampaignCoordinator::run()
     bool degraded = false;
 
     auto spawn_worker = [&]() -> bool {
-        int to_child[2], from_child[2];
-        if (::pipe(to_child) < 0)
+        int sv[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) < 0)
             return false;
-        if (::pipe(from_child) < 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
+        Socket chan(sv[0]), child_end(sv[1]);
+        std::string nb_error;
+        if (!chan.setNonBlocking(nb_error))
             return false;
-        }
         const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
+        if (pid < 0)
             return false;
-        }
         if (pid == 0) {
-            ::dup2(to_child[0], STDIN_FILENO);
-            ::dup2(from_child[1], STDOUT_FILENO);
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
+            // The channel becomes fd 0 (dup2 clears close-on-exec; both
+            // socketpair ends close at exec). Stdout goes to stderr: the
+            // coordinator's stdout may be carrying the report.
+            if (child_end.fd() == STDIN_FILENO)
+                ::fcntl(STDIN_FILENO, F_SETFD, 0);
+            else
+                ::dup2(child_end.fd(), STDIN_FILENO);
+            ::dup2(STDERR_FILENO, STDOUT_FILENO);
             // Faults are the coordinator's to deliver (one-shot, via
             // job messages); a user-level env fault must not also
             // re-fire inside every respawned worker.
             ::unsetenv("MONDRIAN_FAULT_INJECT");
-            std::vector<std::string> args = argv_prefix;
-            args.insert(args.end(), argv_tail.begin(), argv_tail.end());
-            std::vector<char *> argv;
-            for (std::string &a : args)
-                argv.push_back(a.data());
-            argv.push_back(nullptr);
-            ::execv(argv[0], argv.data());
+            std::vector<char *> args;
+            for (std::string &a : argv)
+                args.push_back(a.data());
+            args.push_back(nullptr);
+            ::execv(args[0], args.data());
             std::_Exit(127);
         }
-        ::close(to_child[0]);
-        ::close(from_child[1]);
-        ::fcntl(from_child[0], F_SETFL, O_NONBLOCK);
+        child_end.close();
         WorkerChan w;
         w.id = next_worker_id++;
         w.pid = pid;
-        w.transport = std::make_unique<PipeTransport>(
-            Transport::Role::kCoordinator, from_child[0], to_child[1],
-            true);
+        w.transport = std::make_unique<Transport>(std::move(chan));
         w.alive = true;
-        w.ready = true; // pipe workers are assignable from spawn
         w.lastSeen = monotonicSeconds();
         workers.push_back(std::move(w));
         return true;
@@ -1119,7 +1046,7 @@ CampaignCoordinator::run()
                     w.remote = true;
                     w.alive = true;
                     w.transport =
-                        std::make_unique<TcpTransport>(std::move(conn));
+                        std::make_unique<Transport>(std::move(conn));
                     w.lastSeen = monotonicSeconds();
                     inform("coordinator: remote worker %u connected",
                            w.id);
@@ -1147,50 +1074,38 @@ CampaignCoordinator::run()
                 const std::string kind = type ? type->asString() : "";
                 w.lastSeen = monotonicSeconds();
                 if (kind == "hello") {
-                    if (w.remote) {
-                        const JsonValue *tok = msg.find("token");
-                        const std::string token =
-                            tok && tok->isString() ? tok->asString() : "";
-                        if (token != config_.helloToken) {
-                            warn("coordinator: remote worker %u sent a "
-                                 "bad hello token; rejecting it", w.id);
-                            w.transport->send(
-                                "{\"type\": \"reject\", \"reason\": "
-                                "\"bad hello token\"}");
-                            rejected = true;
-                            break;
-                        }
-                        w.hello = true;
-                        any_hello_ever = true;
-                        // A remote worker has no spec file: ship the
-                        // spec (and the beat period) over the wire.
-                        JsonWriter sm;
-                        sm.beginObject();
-                        sm.member("type", "spec");
-                        sm.member("spec", spec_json);
-                        sm.member("heartbeat_interval", hb_interval);
-                        sm.endObject();
-                        if (!w.transport->send(
-                                JsonWriter::compact(sm.str()))) {
-                            desync = true;
-                            break;
-                        }
-                    } else {
-                        w.hello = true;
-                        any_hello_ever = true;
+                    // Only an accepted TCP connection can be a third
+                    // party; a socketpair peer is our own child.
+                    const JsonValue *tok = msg.find("token");
+                    if (w.remote &&
+                        (tok && tok->isString() ? tok->asString() : "") !=
+                            config_.helloToken) {
+                        warn("coordinator: remote worker %u sent a bad "
+                             "hello token; rejecting it", w.id);
+                        w.transport->send("{\"type\": \"reject\", "
+                                          "\"reason\": \"bad hello "
+                                          "token\"}");
+                        rejected = true;
+                        break;
+                    }
+                    w.hello = true;
+                    any_hello_ever = true;
+                    if (!w.transport->send(spec_msg)) {
+                        desync = true;
+                        break;
                     }
                 } else if (kind == "ready") {
                     // The worker expanded the spec we shipped; a job
                     // count mismatch means we would be assigning indices
                     // into a DIFFERENT grid — never assign to it.
                     const JsonValue *count = msg.find("jobs");
-                    if (!w.remote || !count ||
-                        count->asU64() != job_count) {
+                    if (!w.hello || !count || count->asU64() != job_count) {
                         desync = true;
                         break;
                     }
                     w.ready = true;
-                    inform("coordinator: remote worker %u ready", w.id);
+                    if (w.remote)
+                        inform("coordinator: remote worker %u ready", w.id);
                 } else if (kind == "heartbeat") {
                     // lastSeen refresh above is the whole point
                 } else if (kind == "result" || kind == "error") {
@@ -1284,8 +1199,6 @@ CampaignCoordinator::run()
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
     }
-    ::sigaction(SIGPIPE, &old_pipe, nullptr);
-
     if (degraded)
         run_in_process();
     finishCampaignReport(report);

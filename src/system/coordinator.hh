@@ -3,24 +3,22 @@
  * CampaignCoordinator: fault-tolerant distributed campaign execution.
  *
  * The coordinator shards an expanded campaign grid across workers —
- * local subprocesses (`mondrian_campaign --worker <campaign.json>`) and,
- * with `--listen HOST:PORT`, remote TCP workers that dial in
- * (`mondrian_campaign --worker-connect HOST:PORT`). Jobs are assigned
- * dynamically (pull-based: an idle worker gets the next pending grid
- * index), and results merge by grid index — never completion order — so
- * the merged report is byte-identical to the same grid run in-process
- * with any `--jobs` value, whatever mix of transports carried it.
+ * local subprocesses (`mondrian_campaign --worker`, talking over a Unix
+ * socketpair on their fd 0) and, with `--listen HOST:PORT`, remote TCP
+ * workers that dial in (`mondrian_campaign --worker-connect
+ * HOST:PORT`). Jobs are assigned dynamically (pull-based: an idle
+ * worker gets the next pending grid index), and results merge by grid
+ * index — never completion order — so the merged report is
+ * byte-identical to the same grid run in-process with any `--jobs`
+ * value, whatever mix of local and remote workers carried it.
  *
- * Wire protocol (docs/distributed.md has the full description): the
- * protocol MESSAGES are transport-agnostic; the framing comes from
- * src/net/transport.hh. Over pipes, commands are newline-delimited
- * compact JSON on worker stdin and replies are length-prefixed frames
- * on worker stdout (the PR 7 format, unchanged). Over TCP, both
- * directions carry CRC32-checked frames, and the handshake grows two
- * messages: the worker's hello carries a shared-secret token
- * (`--hello-token`), and the coordinator answers with the campaign spec
- * inline (a remote worker has no spec file) plus the heartbeat
- * interval; the worker replies "ready" with its expanded job count.
+ * Wire protocol (docs/distributed.md has the full description): one
+ * channel for every worker, local or remote — CRC32-checked frames in
+ * both directions (src/net/transport.hh) — and one handshake: the
+ * worker's hello (carrying the `--hello-token` shared secret, checked
+ * on TCP connections only), the coordinator's spec message with the
+ * campaign spec inline plus the heartbeat interval, and the worker's
+ * "ready" with its expanded job count. Only then is it given jobs.
  *
  * Failure model — every failure mode maps to a bounded retry:
  *  - worker crash (EOF/death) or mid-frame disconnect: its in-flight
@@ -137,8 +135,9 @@ struct CoordinatorConfig
      */
     std::string workerCacheDir;
     /**
-     * argv prefix of the worker binary; "--worker <spec>" plus the
-     * heartbeat interval are appended. Empty = this executable
+     * argv prefix of the worker binary; "--worker" (plus
+     * "--worker-cache DIR" when set) is appended, and the spec and beat
+     * period arrive in the handshake. Empty = this executable
      * (/proc/self/exe). Tests point it at a nonexistent path to
      * exercise graceful degradation.
      */
@@ -219,20 +218,19 @@ class CampaignCoordinator
 };
 
 /**
- * Worker main loop (`mondrian_campaign --worker <spec>`): expand the
- * grid from @p spec_path, then serve job messages from stdin, streaming
- * heartbeats and results to stdout until an exit message or EOF.
- * @p heartbeat_interval_sec is the beat period; @p cache_dir (may be
- * empty) enables the worker-side result cache. The
+ * Local-worker main loop (`mondrian_campaign --worker`, spawned by the
+ * coordinator with its socketpair end on fd 0): join through the
+ * hello -> spec -> ready handshake, then serve job messages, streaming
+ * heartbeats and results back until an exit message or EOF.
+ * @p cache_dir (may be empty) enables the worker-side result cache. The
  * MONDRIAN_FAULT_INJECT environment variable (same grammar as
  * --fault-inject) injects faults on this worker's own attempts —
  * the standalone-testing path; coordinator-driven faults arrive inside
  * job messages instead.
- * @return the process exit code.
+ * @return the process exit code (kExitNetwork when the handshake
+ * fails).
  */
-int runCampaignWorker(const std::string &spec_path,
-                      double heartbeat_interval_sec,
-                      const std::string &cache_dir = std::string());
+int runCampaignWorker(const std::string &cache_dir = std::string());
 
 /** Knobs of a `--worker-connect` remote worker. */
 struct ConnectWorkerOptions
@@ -249,9 +247,9 @@ struct ConnectWorkerOptions
 
 /**
  * Remote-worker main loop (`mondrian_campaign --worker-connect
- * HOST:PORT`): dial the coordinator, present the hello token, receive
- * the campaign spec over the wire, then serve jobs exactly as a pipe
- * worker does. A dropped connection (coordinator kill, network fault,
+ * HOST:PORT`): dial the coordinator, join through the same handshake
+ * as a local worker (presenting the hello token), then serve jobs
+ * exactly as a local worker does. A dropped connection (coordinator kill, network fault,
  * an injected disconnect) triggers reconnection with backoff; the
  * rejoined connection is a brand-new worker to the coordinator. An
  * explicit exit message or hello rejection is final (no reconnect).

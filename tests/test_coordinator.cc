@@ -2,14 +2,16 @@
  * @file
  * Distributed campaign execution: shard planning, fault-injection specs,
  * the campaign.json job-spec round-trip, coordinator/worker byte-identity
- * under injected crash/hang/corrupt faults, retry exhaustion, journal
- * resume and graceful degradation. The worker subprocess is the real
+ * under injected crash/hang/corrupt/disconnect faults, retry exhaustion,
+ * journal resume, graceful degradation and the worker's handshake
+ * checks. The worker subprocess is the real
  * mondrian_campaign binary (MONDRIAN_BINARY_DIR), so these tests exercise
  * the actual wire protocol end to end.
  */
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,6 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+#include "net/socket.hh"
+#include "net/transport.hh"
 #include "system/campaign.hh"
 #include "system/campaign_spec.hh"
 #include "system/coordinator.hh"
@@ -174,6 +179,23 @@ TEST(Coordinator, CrashedWorkerIsRetriedByteIdentically)
     CoordinatorConfig config = testConfig();
     std::string error;
     ASSERT_TRUE(parseFaultInject("crash@0,crash@3", config.faults, error));
+    CampaignCoordinator coordinator(grid, config);
+    const CampaignReport report = coordinator.run();
+    EXPECT_TRUE(report.failedRuns.empty());
+    EXPECT_EQ(campaignReportJson(report), expected);
+}
+
+TEST(Coordinator, LocalDisconnectIsRetriedByteIdentically)
+{
+    // A local worker that drops its socketpair mid-job exits; the
+    // coordinator sees EOF, requeues the job and respawns a worker.
+    const CampaignGrid grid = smallGrid();
+    const std::string expected = referenceReport(grid);
+
+    CoordinatorConfig config = testConfig();
+    std::string error;
+    ASSERT_TRUE(parseFaultInject("disconnect@1,disconnect@2", config.faults,
+                                 error));
     CampaignCoordinator coordinator(grid, config);
     const CampaignReport report = coordinator.run();
     EXPECT_TRUE(report.failedRuns.empty());
@@ -518,6 +540,62 @@ TEST(TcpCoordinator, RejectsWorkersWithWrongHelloToken)
 
     EXPECT_EQ(waitForExit(impostor), kExitNetwork);
     EXPECT_EQ(waitForExit(legit), 0);
+}
+
+TEST(ConnectWorker, HeartbeatIntervalIsValidatedAtTheHandshake)
+{
+    // A hand-rolled coordinator: accept one --worker-connect worker, read
+    // its hello, answer with a spec message carrying @p beat, and collect
+    // everything the worker sends until it leaves.
+    const std::string spec = campaignSpecJson(smallGrid());
+    auto handshake = [&](double beat, std::vector<std::string> &replies) {
+        std::string error;
+        Endpoint ep;
+        ASSERT_TRUE(parseEndpoint("127.0.0.1:0", ep, error)) << error;
+        Socket listener = Socket::listen(ep, error);
+        ASSERT_TRUE(listener.valid()) << error;
+        const pid_t pid = spawnConnectWorker(listener.localPort(),
+                                             {"--reconnect", "0"});
+        pollfd pfd{listener.fd(), POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+        Transport t(listener.accept(error));
+        ASSERT_GE(t.fd(), 0) << error;
+        std::string msg;
+        ASSERT_TRUE(t.await(msg));
+        EXPECT_NE(msg.find("\"hello\""), std::string::npos) << msg;
+        JsonWriter w;
+        w.beginObject();
+        w.member("type", "spec");
+        w.member("spec", spec);
+        w.member("heartbeat_interval", beat);
+        w.endObject();
+        ASSERT_TRUE(t.send(JsonWriter::compact(w.str())));
+        replies.clear();
+        while (t.await(msg)) {
+            replies.push_back(msg);
+            if (msg.find("\"ready\"") != std::string::npos)
+                t.send("{\"type\": \"exit\"}");
+        }
+        replies.push_back("exit " + std::to_string(waitForExit(pid)));
+    };
+
+    // Zero and negative beat periods would spin the heartbeat thread:
+    // the worker refuses the handshake (exit 5, no redial) and sends
+    // nothing at all — no ready, no heartbeat.
+    std::vector<std::string> replies;
+    for (const double beat : {0.0, -1.0}) {
+        handshake(beat, replies);
+        EXPECT_EQ(replies, (std::vector<std::string>{
+                               "exit " + std::to_string(kExitNetwork)}))
+            << "heartbeat_interval " << beat;
+    }
+
+    // A huge period is capped, not refused: the worker joins and leaves
+    // on the exit message at once.
+    handshake(1e300, replies);
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_NE(replies[0].find("\"ready\""), std::string::npos);
+    EXPECT_EQ(replies[1], "exit 0");
 }
 
 // ---------------------------------------------- worker-side result cache

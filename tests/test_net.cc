@@ -1,8 +1,8 @@
 /**
  * @file
  * The src/net layer: CRC32, frame encode/decode (partial feeding, CRC
- * corruption, header violations), endpoint parsing, PipeTransport and
- * TcpTransport round-trips over real fds, and the TCP hello-token
+ * corruption, header violations), endpoint parsing, Transport
+ * round-trips over a socketpair and loopback TCP, and the TCP hello-token
  * handshake end to end against a live CampaignCoordinator — with the
  * in-test client acting as a minimal hand-rolled TCP worker, proving
  * the wire protocol independently of the production worker loop.
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -29,22 +30,6 @@
 using namespace mondrian;
 
 namespace {
-
-/** Block until one message arrives; false on EOF/desync. */
-bool
-awaitMsg(Transport &t, std::string &payload)
-{
-    for (;;) {
-        const int st = t.next(payload);
-        if (st > 0)
-            return true;
-        if (st < 0)
-            return false;
-        const Transport::Pump p = t.pump();
-        if (p == Transport::Pump::kEof || p == Transport::Pump::kError)
-            return false;
-    }
-}
 
 /** 2 systems x 2 ops at 2^8: four cheap jobs with a baseline. */
 CampaignGrid
@@ -159,35 +144,34 @@ TEST(Endpoint, RejectsMalformedSpecs)
     EXPECT_FALSE(parseEndpoint("host:70000", ep, error));
 }
 
-// ----------------------------------------------------------- PipeTransport
+// --------------------------------------------------------------- Transport
 
-TEST(PipeTransport, RoundTripsBothRoles)
+TEST(Transport, SocketpairRoundTripsBothDirections)
 {
-    // Two unidirectional pipes, exactly the coordinator/worker shape.
-    int cmd[2], reply[2];
-    ASSERT_EQ(::pipe(cmd), 0);
-    ASSERT_EQ(::pipe(reply), 0);
-    PipeTransport coord(Transport::Role::kCoordinator, reply[0], cmd[1],
-                        true);
-    PipeTransport worker(Transport::Role::kWorker, cmd[0], reply[1], true);
+    // One socketpair, exactly the coordinator/local-worker shape.
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    Transport coord{Socket(sv[0])};
+    Transport worker{Socket(sv[1])};
 
     ASSERT_TRUE(coord.send("{\"type\": \"job\", \"index\": 3}"));
     std::string msg;
-    ASSERT_TRUE(awaitMsg(worker, msg));
+    ASSERT_TRUE(worker.await(msg));
     EXPECT_EQ(msg, "{\"type\": \"job\", \"index\": 3}");
 
     ASSERT_TRUE(worker.send("{\"type\": \"heartbeat\"}"));
-    ASSERT_TRUE(awaitMsg(coord, msg));
+    ASSERT_TRUE(coord.await(msg));
     EXPECT_EQ(msg, "{\"type\": \"heartbeat\"}");
 
     // Half-close: the worker sees EOF, its own send side still works.
     coord.shutdownSend();
     EXPECT_EQ(worker.pump(), Transport::Pump::kEof);
+    ASSERT_TRUE(worker.send("{\"type\": \"result\"}"));
+    ASSERT_TRUE(coord.await(msg));
+    EXPECT_EQ(msg, "{\"type\": \"result\"}");
 }
 
-// ------------------------------------------------------------ TcpTransport
-
-TEST(TcpTransport, LoopbackFramesSurviveFragmentation)
+TEST(Transport, LoopbackFramesSurviveFragmentation)
 {
     std::string error;
     Endpoint ep;
@@ -202,23 +186,23 @@ TEST(TcpTransport, LoopbackFramesSurviveFragmentation)
     Socket served = listener.accept(error);
     ASSERT_TRUE(served.valid()) << error;
 
-    TcpTransport a(std::move(client));
-    TcpTransport b(std::move(served));
+    Transport a(std::move(client));
+    Transport b(std::move(served));
 
     // A payload far bigger than one MTU: must reassemble across reads.
     const std::string big(256 * 1024, 'm');
     ASSERT_TRUE(a.send(big));
     std::string msg;
-    ASSERT_TRUE(awaitMsg(b, msg));
+    ASSERT_TRUE(b.await(msg));
     EXPECT_EQ(msg, big);
 
     // And the reverse direction.
     ASSERT_TRUE(b.send("{\"type\": \"ok\"}"));
-    ASSERT_TRUE(awaitMsg(a, msg));
+    ASSERT_TRUE(a.await(msg));
     EXPECT_EQ(msg, "{\"type\": \"ok\"}");
 }
 
-TEST(TcpTransport, BytewiseWritesReassembleAndCorruptionIsFatal)
+TEST(Transport, BytewiseWritesReassembleAndCorruptionIsFatal)
 {
     std::string error;
     Endpoint ep;
@@ -231,14 +215,14 @@ TEST(TcpTransport, BytewiseWritesReassembleAndCorruptionIsFatal)
     ASSERT_TRUE(client.valid()) << error;
     Socket served = listener.accept(error);
     ASSERT_TRUE(served.valid()) << error;
-    TcpTransport receiver(std::move(served));
+    Transport receiver(std::move(served));
 
     // Trickle a valid frame one byte at a time (worst-case short reads).
     const std::string wire = encodeFrame("{\"type\": \"hello\"}", true);
     for (const char c : wire)
         ASSERT_TRUE(client.writeAll(&c, 1));
     std::string msg;
-    ASSERT_TRUE(awaitMsg(receiver, msg));
+    ASSERT_TRUE(receiver.await(msg));
     EXPECT_EQ(msg, "{\"type\": \"hello\"}");
 
     // Now a frame whose payload was corrupted in flight: the transport
@@ -287,16 +271,16 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     {
         Socket s = Socket::connect(ep, error);
         ASSERT_TRUE(s.valid()) << error;
-        TcpTransport t(std::move(s));
+        Transport t(std::move(s));
         ASSERT_TRUE(t.send("{\"type\": \"hello\", \"pid\": 1, "
                            "\"token\": \"wrong\"}"));
         std::string msg;
-        ASSERT_TRUE(awaitMsg(t, msg));
+        ASSERT_TRUE(t.await(msg));
         JsonValue reply;
         ASSERT_TRUE(parseJson(msg, reply, error)) << error;
         ASSERT_TRUE(reply.find("type"));
         EXPECT_EQ(reply.find("type")->asString(), "reject");
-        EXPECT_FALSE(awaitMsg(t, msg)); // coordinator closed the channel
+        EXPECT_FALSE(t.await(msg)); // coordinator closed the channel
     }
 
     // 2) A hand-rolled worker with the right token: receives the spec
@@ -305,11 +289,11 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     {
         Socket s = Socket::connect(ep, error);
         ASSERT_TRUE(s.valid()) << error;
-        TcpTransport t(std::move(s));
+        Transport t(std::move(s));
         ASSERT_TRUE(t.send("{\"type\": \"hello\", \"pid\": 2, "
                            "\"token\": \"s3cret\"}"));
         std::string msg;
-        ASSERT_TRUE(awaitMsg(t, msg));
+        ASSERT_TRUE(t.await(msg));
         JsonValue spec_msg;
         ASSERT_TRUE(parseJson(msg, spec_msg, error)) << error;
         ASSERT_TRUE(spec_msg.find("type"));
@@ -325,7 +309,7 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
                            std::to_string(jobs.size()) + "}"));
 
         for (;;) {
-            ASSERT_TRUE(awaitMsg(t, msg));
+            ASSERT_TRUE(t.await(msg));
             JsonValue job_msg;
             ASSERT_TRUE(parseJson(msg, job_msg, error)) << error;
             const JsonValue *type = job_msg.find("type");
